@@ -3,8 +3,9 @@
 Two families of fields are available, selected by a :class:`FieldSpec`:
 
 * ``padic:p`` -- the rational numbers.  Elements are reduced integer
-  fractions with positive denominator; ``p`` must be a prime and selects
-  the valuation used by the rest of the package.
+  fractions with positive denominator; ``p`` must be a prime below
+  ``PRIME_TEST_BOUND`` and selects the valuation used by the rest of the
+  package.
 * ``tadic:p`` -- rational functions in ``t`` with coefficients in F_p
   (``p`` prime) or in Q (``p = 0``).  Elements are reduced polynomial
   fractions with a monic denominator; F_p coefficients are stored as
@@ -40,17 +41,35 @@ class DomainError(ValueError):
     """An argument lies outside the operation's domain."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every n below
+# this bound (Sorenson and Webster 2015).
+PRIME_TEST_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; parameters here are desk-scale."""
+    """Deterministic Miller-Rabin; exact for every ``n < PRIME_TEST_BOUND``."""
+    if n >= PRIME_TEST_BOUND:
+        raise DomainError(f"primality is decided only below {PRIME_TEST_BOUND}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -66,6 +85,10 @@ class FieldSpec:
     param: int
 
     def __post_init__(self) -> None:
+        if self.kind in (PADIC, TADIC) and self.param >= PRIME_TEST_BOUND:
+            raise ParseError(
+                f"{self.kind} parameter must be below {PRIME_TEST_BOUND}, got {self.param}"
+            )
         if self.kind == PADIC:
             if not is_prime(self.param):
                 raise ParseError(f"padic parameter must be a prime >= 2, got {self.param}")
@@ -206,6 +229,52 @@ def poly_t_order(a: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
+# fraction-free arithmetic in the ring under the canonical fractions: Z for
+# padic (ints), k[t] for tadic (coefficient tuples); zero is falsy in both
+
+def clear_denominators(row) -> "tuple[list, FieldElement]":
+    """The numerators of L * row, and L, for L the lcm of the denominators.
+
+    ``row`` is a nonempty sequence of elements of one field; L comes back
+    as a field element (an element of the ring).
+    """
+    spec = row[0].spec
+    if spec.kind == PADIC:
+        scale = math.lcm(*(a.den for a in row))
+        return [a.num * (scale // a.den) for a in row], FieldElement(spec, scale, 1)
+    p = spec.param
+    one = _one_poly(p)
+    scale = one
+    for a in row:
+        if len(a.den) > 1 and a.den != scale:
+            scale = poly_mul(scale, _poly_exact_div(a.den, poly_gcd(scale, a.den, p), p), p)
+    nums = [
+        a.num if a.den == scale else poly_mul(a.num, _poly_exact_div(scale, a.den, p), p)
+        for a in row
+    ]
+    return nums, FieldElement(spec, scale, one)
+
+
+def _int_cross_quotient(a: int, b: int, c: int, d: int, e: int) -> int:
+    return (a * b - c * d) // e
+
+
+def cross_quotient(spec: FieldSpec):
+    """The ring map (a, b, c, d, e) -> (a*b - c*d) / e, for exact quotients.
+
+    This is one entry update of fraction-free (Bareiss) elimination.
+    """
+    if spec.kind == PADIC:
+        return _int_cross_quotient
+    p = spec.param
+
+    def step(a: tuple, b: tuple, c: tuple, d: tuple, e: tuple) -> tuple:
+        return _poly_exact_div(poly_sub(poly_mul(a, b, p), poly_mul(c, d, p), p), e, p)
+
+    return step
+
+
+# ---------------------------------------------------------------------------
 # field elements
 
 _ONE_POLY_CACHE: "dict[int, tuple]" = {}
@@ -233,8 +302,14 @@ class FieldElement:
 
     def __post_init__(self) -> None:
         if self.spec.kind == PADIC:
-            num = int(self.num)
-            den = int(self.den)
+            num = self.num
+            den = self.den
+            if type(num) is not int or type(den) is not int:
+                if not (isinstance(num, int) and isinstance(den, int)):
+                    raise DomainError(
+                        f"padic numerator and denominator must be integers, got {num!r}, {den!r}"
+                    )
+                num, den = int(num), int(den)
             if den == 0:
                 raise ZeroDivisionError("zero denominator")
             if num == 0:

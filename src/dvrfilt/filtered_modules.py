@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import sampling
-from .elements import DomainError, FieldElement, format_element, parse_element, pi_power
+from .elements import (
+    DomainError,
+    FieldElement,
+    clear_denominators,
+    cross_quotient,
+    format_element,
+    parse_element,
+    pi_power,
+)
 from .valuation import ResidueElem, ValuationSpec
 
 Matrix = "tuple[tuple[FieldElement, ...], ...]"
@@ -221,6 +229,7 @@ def snf(spec: ValuationSpec, matrix: Sequence[Sequence[FieldElement]]) -> SnfRes
     u = [list(r) for r in identity_matrix(spec, m)]
     v = [list(r) for r in identity_matrix(spec, n)]
     one = FieldElement.one(spec.field)
+    zero = FieldElement.zero(spec.field)
 
     for k in range(min(m, n)):
         pivot = None
@@ -247,20 +256,24 @@ def snf(spec: ValuationSpec, matrix: Sequence[Sequence[FieldElement]]) -> SnfRes
             scale = unit.inverse()
             d[k] = [scale * a for a in d[k]]
             u[k] = [scale * a for a in u[k]]
+        # Row k of d is zero left of column k and column k is zero above it,
+        # so the updates below skip every a - q*0 and write the entries they
+        # clear as zero instead of computing them.
         for i in range(k + 1, m):
             if d[i][k].is_zero:
                 continue
             q = d[i][k] / d[k][k]
-            d[i] = [a - q * b for a, b in zip(d[i], d[k])]
-            u[i] = [a - q * b for a, b in zip(u[i], u[k])]
+            d[i][k] = zero
+            d[i][k + 1 :] = [a - q * b if b else a for a, b in zip(d[i][k + 1 :], d[k][k + 1 :])]
+            u[i] = [a - q * b if b else a for a, b in zip(u[i], u[k])]
         for j in range(k + 1, n):
             if d[k][j].is_zero:
                 continue
             q = d[k][j] / d[k][k]
-            for row in d:
-                row[j] = row[j] - q * row[k]
+            d[k][j] = zero
             for row in v:
-                row[j] = row[j] - q * row[k]
+                if row[k]:
+                    row[j] = row[j] - q * row[k]
 
     return SnfResult(
         tuple(tuple(r) for r in u),
@@ -278,15 +291,50 @@ def snf_diagonal_exponents(spec: ValuationSpec, d: Matrix) -> list:
     return out
 
 
+def _fraction_free(spec: ValuationSpec, matrix: Sequence) -> "tuple[int, object, FieldElement]":
+    """Fraction-free (Bareiss 1968) elimination; builds no U or V and no SNF.
+
+    Each row is first multiplied by the lcm of its denominators, so the
+    entries lie in Z or k[t].  Entry updates are (a*p - c*b) / p_prev for
+    the pivot p and the previous pivot p_prev; the quotient is exact, as
+    every entry is then a minor of the scaled matrix.  Returns the rank over
+    K, the last pivot (a ring value), and the product of the row scales
+    negated once per row swap.  For a square matrix of full rank the
+    determinant is the last pivot divided by that scale.
+    """
+    field = spec.field
+    scale = FieldElement.one(field)
+    prev = scale.num  # the ring's 1, the pivot before the first
+    rows = []
+    for r in matrix:
+        nums, s = clear_denominators(r)
+        rows.append(nums)
+        scale = scale * s
+    step = cross_quotient(field)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            scale = -scale
+        top = rows[rank]
+        p = top[col]
+        for row in rows[rank + 1 :]:
+            c = row[col]
+            row[col + 1 :] = [step(a, p, c, b, prev) for a, b in zip(row[col + 1 :], top[col + 1 :])]
+        prev = p
+        rank += 1
+    return rank, prev, scale
+
+
 def map_injective(f: FilteredMap) -> bool:
-    """True iff the underlying module map is injective (full column rank over K)."""
-    result = snf(f.spec, f.matrix)
-    nonzero = sum(
-        1
-        for k in range(min(len(result.d), len(result.d[0])))
-        if not result.d[k][k].is_zero
-    )
-    return nonzero == f.source.rank
+    """True iff the underlying module map is injective (full column rank over K).
+
+    The rank comes from one fraction-free elimination; no SNF is computed.
+    """
+    return _fraction_free(f.spec, f.matrix)[0] == f.source.rank
 
 
 def mat_mul(spec: ValuationSpec, a: Sequence, b: Sequence) -> tuple:
@@ -306,34 +354,14 @@ def mat_mul(spec: ValuationSpec, a: Sequence, b: Sequence) -> tuple:
 
 
 def det(spec: ValuationSpec, matrix: Sequence) -> FieldElement:
-    """Exact determinant by Gaussian elimination over the fraction field."""
+    """Exact determinant by one fraction-free elimination; no SNF is computed."""
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise DomainError("determinant needs a square matrix")
-    work = [list(r) for r in matrix]
-    sign = 1
-    result = FieldElement.one(spec.field)
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if not work[i][k].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return FieldElement.zero(spec.field)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        result = result * pivot
-        for i in range(k + 1, n):
-            if work[i][k].is_zero:
-                continue
-            q = work[i][k] / pivot
-            work[i] = [a - q * b for a, b in zip(work[i], work[k])]
-    if sign < 0:
-        result = -result
-    return result
+    rank, pivot, scale = _fraction_free(spec, matrix)
+    if rank < n:
+        return FieldElement.zero(spec.field)
+    return FieldElement(spec.field, pivot, scale.num)
 
 
 # ---------------------------------------------------------------------------

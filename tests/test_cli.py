@@ -174,6 +174,8 @@ def test_determinism_byte_identical():
     "argv",
     [
         ("val", "--field", "padic:4", "3"),          # composite parameter
+        ("val", "--field", "padic:561", "3"),        # Carmichael number
+        ("val", "--field", "padic:3317044064679887385961981", "3"),  # above the prime-test bound
         ("val", "--field", "nonsense:2", "3"),       # unknown kind
         ("val", "--field", "padic:2", "x+y"),        # malformed element
         ("residue", "--field", "padic:2", "1/2"),    # domain error

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dvrfilt import (
+    DomainError,
     FieldElement,
     FieldSpec,
     ParseError,
@@ -15,6 +16,7 @@ from dvrfilt import (
     format_element,
     parse_element,
 )
+from dvrfilt.elements import PRIME_TEST_BOUND, is_prime
 from dvrfilt.sampling import random_nonzero_element
 
 from conftest import FIELD_STRINGS
@@ -130,6 +132,52 @@ def test_composite_param_rejected_at_construction():
     with pytest.raises(ParseError):
         FieldSpec.from_string("padic:0")
     assert FieldSpec.from_string("tadic:0").param == 0
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(3000) if is_prime(n)] == [
+        n for n in range(3000) if _trial_division_is_prime(n)
+    ]
+
+
+def test_large_prime_params_are_accepted():
+    # the Mersenne prime 2^61 - 1 is far beyond what trial division settles
+    assert FieldSpec.from_string("padic:2305843009213693951").param == 2**61 - 1
+    assert FieldSpec("tadic", 2**61 - 1).param == 2**61 - 1
+
+
+def test_pseudoprimes_are_rejected():
+    # Carmichael numbers fool the Fermat test for every coprime base; 2047
+    # and 3215031751 are strong pseudoprimes to the first one and four bases
+    for n in (561, 1105, 1729, 2047, 3215031751, (2**31 - 1) * 1000000007):
+        assert not is_prime(n)
+    with pytest.raises(ParseError):
+        FieldSpec.from_string("padic:561")
+
+
+def test_params_above_the_primality_bound_are_rejected():
+    with pytest.raises(ParseError):
+        FieldSpec.from_string(f"padic:{PRIME_TEST_BOUND}")
+    with pytest.raises(ParseError):
+        FieldSpec("tadic", 2**127 - 1)
+    with pytest.raises(DomainError):
+        is_prime(PRIME_TEST_BOUND)
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, "3", Fraction(3, 2), None])
+def test_padic_element_rejects_non_integer_parts(bad):
+    with pytest.raises(DomainError):
+        FieldElement(F2, bad, 1)
+    with pytest.raises(DomainError):
+        FieldElement(F2, 1, bad)
+
+
+def test_padic_element_accepts_int_subclasses():
+    assert FieldElement(F2, True, 2) == FieldElement(F2, 1, 2)
 
 
 def test_arith_inverse_pair():

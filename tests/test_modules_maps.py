@@ -33,6 +33,7 @@ from dvrfilt.sampling import random_ring_element
 S2 = ValuationSpec.from_string("padic:2")
 S3 = ValuationSpec.from_string("padic:3")
 ST3 = ValuationSpec.from_string("tadic:3")
+ST0 = ValuationSpec.from_string("tadic:0")
 
 
 def _mod(spec, *shifts):
@@ -233,14 +234,21 @@ def test_snf_rejects_fractional_entries():
         snf(S2, ((parse_element("1/2", S2.field),),))
 
 
-@pytest.mark.parametrize("spec", [S2, ST3], ids=["padic:2", "tadic:3"])
-def test_snf_properties_random(spec):
+# tadic:0 entries swell fastest, so it runs on fewer and smaller matrices
+RANDOM_MATRIX_CASES = [
+    pytest.param(S2, 200, 4, 5, id="padic:2"),
+    pytest.param(ST3, 200, 4, 5, id="tadic:3"),
+    pytest.param(ST0, 30, 3, 3, id="tadic:0"),
+]
+
+
+@pytest.mark.parametrize("spec,count,max_dim,max_val", RANDOM_MATRIX_CASES)
+def test_snf_properties_random(spec, count, max_dim, max_val):
     rng = random.Random(99)
-    one = FieldElement.one(spec.field)
-    for _ in range(200):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = random_matrix(spec, rng, rows, cols)
+    for _ in range(count):
+        rows = rng.randint(1, max_dim)
+        cols = rng.randint(1, max_dim)
+        a = random_matrix(spec, rng, rows, cols, max_val)
         u, d, v = snf(spec, a)
         assert mat_mul(spec, mat_mul(spec, u, a), v) == d
         assert spec.valuation(det(spec, u)) == 0
@@ -286,12 +294,13 @@ def test_map_injective_rank_one():
     assert not map_injective(f)
 
 
-def test_map_injective_agrees_with_field_rank():
+@pytest.mark.parametrize("spec,count,max_dim,max_val", RANDOM_MATRIX_CASES)
+def test_map_injective_agrees_with_field_rank(spec, count, max_dim, max_val):
     rng = random.Random(7)
-    for _ in range(200):
-        f = random_filtered_map(S2, rng)
+    for _ in range(count):
+        f = random_filtered_map(spec, rng, max_dim, max_val)
         assert map_injective(f) == (
-            _column_rank_over_field(S2, f.matrix) == f.source.rank
+            _column_rank_over_field(spec, f.matrix) == f.source.rank
         )
 
 
