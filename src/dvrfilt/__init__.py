@@ -81,9 +81,6 @@ from .valuation import (
     ResidueElem,
     ValuationSpec,
     check_valuation_axioms,
-    residue,
-    uniformizer_power,
-    valuation,
 )
 
 __version__ = "0.1.0"

@@ -22,8 +22,6 @@ from . import sampling
 from .elements import (
     DomainError,
     FieldElement,
-    clear_denominators,
-    cross_quotient,
     format_element,
     parse_element,
     pi_power,
@@ -307,10 +305,10 @@ def _fraction_free(spec: ValuationSpec, matrix: Sequence) -> "tuple[int, object,
     prev = scale.num  # the ring's 1, the pivot before the first
     rows = []
     for r in matrix:
-        nums, s = clear_denominators(r)
+        nums, s = field.backend.clear_denominators(r)
         rows.append(nums)
         scale = scale * s
-    step = cross_quotient(field)
+    step = field.backend.cross_quotient
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)

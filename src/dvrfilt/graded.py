@@ -140,30 +140,6 @@ def poly_to_gr(spec: ValuationSpec, coeffs: Iterable) -> GradedElement:
     return GradedElement(spec, tuple(terms))
 
 
-def residue_poly_add(a: tuple, b: tuple, char: int) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    while out and out[-1].is_zero:
-        out.pop()
-    return tuple(out)
-
-
-def residue_poly_mul(a: tuple, b: tuple, char: int) -> tuple:
-    if not a or not b:
-        return ()
-    zero = ResidueElem(char, 0)
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    while out and out[-1].is_zero:
-        out.pop()
-    return tuple(out)
-
-
 def format_graded(u: GradedElement) -> str:
     """Render as "c0 + c1*T + c2*T^2" with residue coefficients."""
     raw = tuple(c.value for c in gr_to_poly(u))

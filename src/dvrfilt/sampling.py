@@ -4,45 +4,22 @@ Elements are drawn as pi^k * u with k uniform in a window and u a random
 unit (bounded numerator and denominator coprime to the uniformizer), so
 every valuation stratum in the window is covered.  All functions consume
 an explicit ``random.Random`` and are deterministic given its state.
+
+The unit is the only draw that depends on the field kind; the field's
+backend in ``elements`` makes it, so nothing here branches on the kind.
 """
 
 from __future__ import annotations
 
 import random
 
-from .elements import PADIC, FieldElement, FieldSpec, pi_power, poly
-
-
-def _random_poly_unit(rng: random.Random, p: int) -> tuple:
-    # nonzero constant term => t-order 0
-    deg = rng.randrange(0, 4)
-    if p:
-        cs = [rng.randrange(p) for _ in range(deg + 1)]
-        cs[0] = rng.randrange(1, p)
-        if deg and cs[-1] == 0:
-            cs[-1] = rng.randrange(1, p)
-    else:
-        cs = [rng.randrange(-5, 6) for _ in range(deg + 1)]
-        cs[0] = rng.choice((1, 2, 3, -1, -2, 5))
-        if deg and cs[-1] == 0:
-            cs[-1] = rng.choice((1, -1, 2))
-    return poly(cs, p)
+from .elements import FieldElement, FieldSpec, pi_power
 
 
 def random_unit(field: FieldSpec, rng: random.Random) -> FieldElement:
     """A random element of valuation exactly 0."""
-    if field.kind == PADIC:
-        p = field.param
-        num = rng.randrange(1, 50)
-        while num % p == 0:
-            num = rng.randrange(1, 50)
-        den = rng.randrange(1, 50)
-        while den % p == 0:
-            den = rng.randrange(1, 50)
-        if rng.random() < 0.5:
-            num = -num
-        return FieldElement(field, num, den)
-    return FieldElement(field, _random_poly_unit(rng, field.param), _random_poly_unit(rng, field.param))
+    num, den = field.backend.random_unit(rng)
+    return FieldElement(field, num, den)
 
 
 def random_nonzero_element(

@@ -119,11 +119,6 @@ def lower_member_literal(ff: FiltFn, x: FieldElement, g: int) -> bool:
     return False
 
 
-def in_radical_of_positive_part(ff: FiltFn, x: FieldElement) -> bool:
-    """Membership in the radical of {f > 0}, which is the maximal ideal."""
-    return ff.value(x) >= 1
-
-
 def _stratified_ring_samples(ff: FiltFn, rng: random.Random, samples: int) -> list:
     field = ff.spec.field
     pi = ff.spec.uniformizer
@@ -146,11 +141,11 @@ def lemma32_report(ff: FiltFn, seed: int, samples: int) -> StatusReport:
     xs = _stratified_ring_samples(ff, rng, samples)
     pi = ff.spec.uniformizer
 
-    # (i) lower(0) versus the radical of the positive part: the literal
-    # lower(0) is the unit group while the radical is the maximal ideal.
+    # (i) lower(0) versus the radical of {f > 0}, the maximal ideal; the
+    # literal lower(0) is the unit group.
     i_witness = None
     for x in xs:
-        if lower_member(ff, x, 0) != in_radical_of_positive_part(ff, x):
+        if lower_member(ff, x, 0) != (ff.value(x) >= 1):
             i_witness = format_element(x)
             break
     clause_i = ClauseStatus(

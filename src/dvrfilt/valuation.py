@@ -6,23 +6,29 @@ t = 0.  Both are surjective onto Z on nonzero elements and send 0 to
 infinity.  The ring of the valuation is R = {v >= 0}, its maximal ideal
 m = {v >= 1}, and the residue field R/m is F_p (padic:p, tadic:p) or Q
 (tadic:0, by evaluation at t = 0).
+
+Nothing here branches on the field kind: valuation and residue come from
+the field's backend in ``elements``, and residue arithmetic uses the
+coefficient helpers that k[t] uses.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import sampling
 from .elements import (
-    PADIC,
     DomainError,
     FieldElement,
     FieldSpec,
+    _cadd,
+    _cinv,
+    _cmul,
+    _cneg,
+    _cof,
     format_element,
     pi_power,
-    poly_t_order,
 )
 from .reports import AxiomResult, CheckReport
 
@@ -134,11 +140,7 @@ class ResidueElem:
     value: object
 
     def __post_init__(self) -> None:
-        if self.char:
-            object.__setattr__(self, "value", int(self.value) % self.char)
-        else:
-            v = self.value
-            object.__setattr__(self, "value", v if isinstance(v, Fraction) else Fraction(v))
+        object.__setattr__(self, "value", _cof(self.value, self.char))
 
     @property
     def is_zero(self) -> bool:
@@ -155,29 +157,24 @@ class ResidueElem:
         if not isinstance(other, ResidueElem):
             return NotImplemented
         self._check(other)
-        return ResidueElem(self.char, self.value + other.value)
+        return ResidueElem(self.char, _cadd(self.value, other.value, self.char))
 
     def __sub__(self, other):
         if not isinstance(other, ResidueElem):
             return NotImplemented
-        self._check(other)
-        return ResidueElem(self.char, self.value - other.value)
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, ResidueElem):
             return NotImplemented
         self._check(other)
-        return ResidueElem(self.char, self.value * other.value)
+        return ResidueElem(self.char, _cmul(self.value, other.value, self.char))
 
     def __neg__(self):
-        return ResidueElem(self.char, -self.value)
+        return ResidueElem(self.char, _cneg(self.value, self.char))
 
     def inverse(self) -> "ResidueElem":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero residue")
-        if self.char:
-            return ResidueElem(self.char, pow(self.value, -1, self.char))
-        return ResidueElem(0, Fraction(1) / self.value)
+        return ResidueElem(self.char, _cinv(self.value, self.char))
 
     def __truediv__(self, other):
         if not isinstance(other, ResidueElem):
@@ -186,16 +183,6 @@ class ResidueElem:
 
     def __str__(self) -> str:
         return str(self.value)
-
-
-def _int_ord(n: int, p: int) -> int:
-    # exact power of p dividing n; n != 0
-    n = abs(n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -210,23 +197,14 @@ class ValuationSpec:
 
     @property
     def uniformizer(self) -> FieldElement:
-        if self.field.kind == PADIC:
-            return FieldElement.from_int(self.field, self.field.param)
-        return FieldElement.indeterminate(self.field)
+        return pi_power(self.field, 1)
 
     @property
     def residue_char(self) -> int:
         return self.field.param
 
-    @property
-    def residue_field_name(self) -> str:
-        return "Q" if self.residue_char == 0 else f"F_{self.residue_char}"
-
     def residue_zero(self) -> ResidueElem:
         return ResidueElem(self.residue_char, 0)
-
-    def residue_one(self) -> ResidueElem:
-        return ResidueElem(self.residue_char, 1)
 
     def valuation(self, x: FieldElement) -> ExtInt:
         """v(x), with v(0) = infinity; exact order of the uniformizer in x."""
@@ -234,10 +212,7 @@ class ValuationSpec:
             raise DomainError("element does not belong to this field")
         if x.is_zero:
             return INFINITY
-        if self.field.kind == PADIC:
-            p = self.field.param
-            return ExtInt(_int_ord(x.num, p) - _int_ord(x.den, p))
-        return ExtInt(poly_t_order(x.num) - poly_t_order(x.den))
+        return ExtInt(self.field.backend.valuation(x))
 
     def uniformizer_power(self, n: int) -> FieldElement:
         return pi_power(self.field, n)
@@ -247,30 +222,7 @@ class ValuationSpec:
         v = self.valuation(x)
         if not v.is_infinite and v.finite < 0:
             raise DomainError(f"residue of {format_element(x)} with negative valuation {v}")
-        if x.is_zero:
-            return self.residue_zero()
-        if self.field.kind == PADIC:
-            p = self.field.param
-            return ResidueElem(p, x.num * pow(x.den % p, -1, p))
-        # reduced form with v(x) >= 0 forces den(0) != 0
-        num0 = x.num[0] if x.num else 0
-        den0 = x.den[0]
-        p = self.field.param
-        if p:
-            return ResidueElem(p, num0 * pow(den0, -1, p))
-        return ResidueElem(0, Fraction(num0) / den0)
-
-
-def valuation(spec: ValuationSpec, x: FieldElement) -> ExtInt:
-    return spec.valuation(x)
-
-
-def uniformizer_power(spec: ValuationSpec, n: int) -> FieldElement:
-    return spec.uniformizer_power(n)
-
-
-def residue(spec: ValuationSpec, x: FieldElement) -> ResidueElem:
-    return spec.residue(x)
+        return ResidueElem(self.residue_char, self.field.backend.residue(x))
 
 
 def check_valuation_axioms(spec: ValuationSpec, seed: int, samples: int) -> CheckReport:

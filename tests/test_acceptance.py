@@ -48,7 +48,7 @@ from dvrfilt.filtered_modules import (
     random_module_element,
     snf_diagonal_exponents,
 )
-from dvrfilt.graded import poly_to_gr, residue_poly_add, residue_poly_mul
+from dvrfilt.graded import poly_to_gr
 from dvrfilt.sampling import (
     random_element,
     random_maximal_ideal_element,
@@ -56,6 +56,8 @@ from dvrfilt.sampling import (
     random_nonzero_level_element,
     random_unit,
 )
+
+from oracles import residue_poly_add, residue_poly_mul
 
 FIELDS = ("padic:2", "padic:5", "tadic:3", "tadic:0")
 S2 = ValuationSpec.from_string("padic:2")

@@ -189,6 +189,10 @@ def test_determinism_byte_identical():
         ("filt-check", "--field", "padic:2", "--samples", "5"),  # missing seed
         ("nonsense",),                                # unknown subcommand
         ("val", "--field", "padic:2"),                # missing element
+        ("val", "--field", "tadic:3", "t^100001"),    # exponent above MAX_EXPONENT
+        ("pipow", "--field", "padic:2", "100001"),
+        ("pipow", "--field", "tadic:0", "-100001"),
+        ("grmul", "--field", "tadic:3", "T^100001", "T"),
     ],
 )
 def test_exit_code_two_on_bad_input(argv):

@@ -12,11 +12,14 @@ from dvrfilt import (
     FieldElement,
     FieldSpec,
     ParseError,
+    ValuationSpec,
     field_arith,
     format_element,
     parse_element,
+    parse_graded,
+    pi_power,
 )
-from dvrfilt.elements import PRIME_TEST_BOUND, is_prime
+from dvrfilt.elements import MAX_EXPONENT, PRIME_TEST_BOUND, is_prime
 from dvrfilt.sampling import random_nonzero_element
 
 from conftest import FIELD_STRINGS
@@ -301,3 +304,49 @@ def test_pow_matches_repeated_multiplication(a, n):
         assert x ** (-m) == expected
     else:
         assert x**m == expected
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None, 2j])
+@pytest.mark.parametrize("field", [T3, T0], ids=["tadic:3", "tadic:0"])
+def test_tadic_element_rejects_non_rational_coefficients(field, bad):
+    with pytest.raises(DomainError):
+        FieldElement(field, (bad,), (1,))
+    with pytest.raises(DomainError):
+        FieldElement(field, (1,), (1, bad))
+    with pytest.raises(DomainError):
+        FieldElement.from_int(field, bad)
+
+
+def test_tadic_p_element_rejects_non_integer_fraction_coefficients():
+    with pytest.raises(DomainError):
+        FieldElement(T3, (Fraction(1, 2),), (1,))
+    assert FieldElement(T3, (Fraction(4, 1),), (1,)) == FieldElement.one(T3)
+
+
+@pytest.mark.parametrize("bad", [2.0, "7", True, None])
+def test_field_spec_rejects_non_int_params(bad):
+    with pytest.raises(ParseError):
+        FieldSpec("padic", bad)
+    with pytest.raises(ParseError):
+        FieldSpec("tadic", bad)
+
+
+def test_field_spec_equality_and_hash_ignore_the_backend():
+    a, b = FieldSpec("tadic", 3), FieldSpec.from_string("tadic:3")
+    assert a.backend is not b.backend
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert repr(a) == "FieldSpec(kind='tadic', param=3)"
+
+
+def test_exponents_above_the_bound_are_rejected():
+    # only exponents just past the bound, so a missing check stays cheap
+    for text in (f"t^{MAX_EXPONENT + 1}", f"2*t^{MAX_EXPONENT + 1}+1", f"(1)/(t^{MAX_EXPONENT + 1})"):
+        with pytest.raises(ParseError):
+            parse_element(text, T3)
+    with pytest.raises(ParseError):
+        parse_graded(f"1 + T^{MAX_EXPONENT + 1}", ValuationSpec(T0))
+    for field in (F2, T3):
+        for n in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1):
+            with pytest.raises(DomainError):
+                pi_power(field, n)

@@ -17,8 +17,9 @@ from dvrfilt import (
     poly_to_gr,
     symbol,
 )
-from dvrfilt.graded import residue_poly_add, residue_poly_mul
 from dvrfilt.sampling import random_nonzero_element
+
+from oracles import residue_poly_add, residue_poly_mul
 
 S2 = ValuationSpec.from_string("padic:2")
 S3 = ValuationSpec.from_string("padic:3")

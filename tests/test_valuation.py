@@ -7,6 +7,7 @@ import pytest
 
 from dvrfilt import (
     INFINITY,
+    DomainError,
     ExtInt,
     FieldElement,
     ResidueElem,
@@ -208,3 +209,21 @@ def test_multiplicativity_on_ring_pairs():
             x = random_ring_element(spec.field, rng)
             y = random_ring_element(spec.field, rng)
             assert spec.valuation(x * y) == spec.valuation(x) + spec.valuation(y)
+
+
+@pytest.mark.parametrize(
+    "char, bad",
+    [(3, 1.7), (3, Fraction(1, 2)), (3, "1"), (0, 1.5), (0, None)],
+    ids=["float-mod-3", "fraction-mod-3", "str-mod-3", "float-over-Q", "none-over-Q"],
+)
+def test_residue_elem_rejects_non_coefficients(char, bad):
+    with pytest.raises(DomainError):
+        ResidueElem(char, bad)
+
+
+def test_residue_elem_canonical_values():
+    assert ResidueElem(3, Fraction(7, 1)).value == 1
+    assert ResidueElem(3, -1) == ResidueElem(3, 2)
+    assert ResidueElem(0, 3).value == Fraction(3)
+    assert (ResidueElem(5, 2) / ResidueElem(5, 3)).value == 4
+    assert (ResidueElem(0, Fraction(1, 2)) / ResidueElem(0, 3)).value == Fraction(1, 6)
