@@ -23,6 +23,7 @@ from .elements import (
     field_arith,
     format_element,
     parse_element,
+    parse_int,
     pi_power,
 )
 from .filtered_modules import (
@@ -275,7 +276,7 @@ def _cmd_specf(ns):
         if len(ns.args) != 2:
             raise CliUsageError(f"specf {ns.op} takes an element and a level")
         x = parse_element(ns.args[0], spec.field)
-        g = int(ns.args[1])
+        g = parse_int(ns.args[1], "level")
         member = upper_member(ff, x, g) if ns.op == "upper" else lower_member(ff, x, g)
         return _emit(ns, [("member", member)])
     if ns.op == "lemma32":

@@ -15,14 +15,26 @@ The kind is decided here only, once: ``FieldSpec`` picks a backend for
 the ring under the fractions, Z (``_Integers``) or k[t]
 (``_Polynomials``), which owns everything that depends on that
 representation.  Everything else calls the backend.  The coefficient
-field k (F_p or Q) is implemented once, by the ``_c*`` helpers.
+field k (F_p or Q) is implemented once, by the ``_c*`` helpers; the k[t]
+kernels below work on the underlying ints instead.
 
 Canonical form is unique, so equality of elements is plain structural
 equality, everything is immutable and hashable, and all arithmetic is
 exact at any magnitude (Python integers / ``fractions.Fraction``).
 
 Polynomials are coefficient tuples in ascending degree with no trailing
-zeros; the zero polynomial is the empty tuple.
+zeros; the zero polynomial is the empty tuple.  Every coefficient is an
+``int`` in ``[0, p)`` over F_p and a ``Fraction`` (never a bare ``int``)
+over Q; every function here returns tuples that keep this invariant.
+
+The kernels ``poly_mul``, ``poly_divmod`` and ``poly_gcd`` run their inner
+loops on plain ints.  Over F_p they accumulate raw products and reduce mod
+p once per output coefficient (in division, also the coefficient read as
+the next quotient term).  Over Q they write each operand as an integer
+polynomial over one common denominator, multiply, pseudo-divide and take
+the gcd by primitive PRS in Z[t], and build one ``Fraction`` per output
+coefficient.  The monic gcd, quotient and remainder are unique, so the
+results are the same tuples a field-coefficient computation gives.
 """
 
 from __future__ import annotations
@@ -56,6 +68,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Largest |n| accepted for a power pi^n of the uniformizer and for an
 # exponent of t or T in element text, checked before anything is allocated.
 MAX_EXPONENT = 100_000
+
+# Longest digit string accepted for one integer in input text, checked before
+# int(); it equals CPython's default limit for int-string conversion.
+MAX_DIGITS = 4300
 
 
 def is_prime(n: int) -> bool:
@@ -123,7 +139,7 @@ class FieldSpec:
             raise ParseError(
                 f"malformed field spec {text!r}; expected padic:<p>, tadic:<p> or tadic:0"
             )
-        return cls(m.group(1), int(m.group(2)))
+        return cls(m.group(1), parse_int(m.group(2), "field parameter"))
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.param}"
@@ -147,9 +163,6 @@ def _cof(value, p: int) -> Coeff:
 def _cadd(x: Coeff, y: Coeff, p: int) -> Coeff:
     return (x + y) % p if p else x + y
 
-def _csub(x: Coeff, y: Coeff, p: int) -> Coeff:
-    return (x - y) % p if p else x - y
-
 def _cmul(x: Coeff, y: Coeff, p: int) -> Coeff:
     return (x * y) % p if p else x * y
 
@@ -167,12 +180,14 @@ def _cinv(x: Coeff, p: int) -> Coeff:
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over the coefficient field
 
-def poly(coeffs: Iterable, p: int) -> tuple:
-    """Normalize an iterable of coefficients into canonical tuple form."""
-    cs = [_cof(c, p) for c in coeffs]
+def _strip(cs: list) -> list:
     while cs and not cs[-1]:
         cs.pop()
-    return tuple(cs)
+    return cs
+
+def poly(coeffs: Iterable, p: int) -> tuple:
+    """Normalize an iterable of coefficients into canonical tuple form."""
+    return tuple(_strip([_cof(c, p) for c in coeffs]))
 
 def poly_add(a: tuple, b: tuple, p: int) -> tuple:
     if len(a) < len(b):
@@ -180,9 +195,7 @@ def poly_add(a: tuple, b: tuple, p: int) -> tuple:
     cs = list(a)
     for i, c in enumerate(b):
         cs[i] = _cadd(cs[i], c, p)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+    return tuple(_strip(cs))
 
 def poly_neg(a: tuple, p: int) -> tuple:
     return tuple(_cneg(c, p) for c in a)
@@ -190,50 +203,133 @@ def poly_neg(a: tuple, p: int) -> tuple:
 def poly_sub(a: tuple, b: tuple, p: int) -> tuple:
     return poly_add(a, poly_neg(b, p), p)
 
+def _over_q(a: tuple) -> "tuple[list, int]":
+    """Integers ``A`` and ``d > 0`` with ``a == A / d``, for Fraction coefficients."""
+    d = math.lcm(*[c.denominator for c in a])
+    if d == 1:
+        return [c.numerator for c in a], 1
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+def _primitive(cs: list) -> list:
+    """``cs`` (no trailing zeros) divided by the gcd of its entries."""
+    g = math.gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
+
+def _int_mul(a, b) -> list:
+    # c_k = sum a_i * b_(k-i) for int sequences, one C-level sum per output
+    # coefficient
+    nb = len(b)
+    brev = b[::-1]
+    return [sum(map(operator.mul, a, brev[nb - 1 - k :])) for k in range(nb)] + [
+        sum(map(operator.mul, a[k:], brev)) for k in range(1, len(a))
+    ]
+
+def _divmod_fp(r: list, b, p: int) -> list:
+    """Divide ``r`` by ``b`` over F_p in place; returns the quotient.
+
+    ``r`` becomes the remainder, ``len(b) - 1`` raw ints not yet reduced mod
+    p; only each entry read as the next quotient term is reduced.
+    """
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    db = len(low)
+    q = [0] * (len(r) - db)
+    for k in range(len(r) - db - 1, -1, -1):
+        c = r[k + db] * inv % p
+        if c:
+            q[k] = c
+            for j, y in enumerate(low, k):
+                r[j] -= c * y
+    del r[db:]
+    return q
+
+def _pseudo_divmod(r: list, b: list) -> "tuple[list, int]":
+    """Fraction-free division of the integer polynomial ``r`` by ``b``.
+
+    ``r`` is overwritten with an integer R, ``len(b) - 1`` entries long
+    (trailing zeros included), and ``(q, s)`` is returned: over Q the input
+    divided by ``b`` has quotient ``sum(c_k / s_k * x^k)``, for
+    ``q[k] == (c_k, s_k)``, and remainder ``R / s``.  Each step scales ``r``
+    in place by lead(b) / gcd(top, lead(b)), the least that keeps it integral.
+    """
+    lead = b[-1]
+    low = b[:-1]
+    db = len(low)
+    s = 1
+    q = [(0, 1)] * (len(r) - db)
+    for k in range(len(r) - db - 1, -1, -1):
+        top = r[k + db]
+        if not top:
+            continue
+        g = math.gcd(top, lead)
+        m = lead // g
+        if m != 1:
+            for i in range(k + db):
+                r[i] *= m
+            s *= m
+        c = top // g
+        q[k] = (c, s)
+        for j, y in enumerate(low, k):
+            r[j] -= c * y
+    del r[db:]
+    return q, s
+
 def poly_mul(a: tuple, b: tuple, p: int) -> tuple:
     if not a or not b:
         return ()
-    cs = [_cof(0, p)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                cs[i + j] = _cadd(cs[i + j], _cmul(x, y, p), p)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:  # a constant factor, the commonest case
+        c = b[0]
+        if c == 1:
+            return a
+        return tuple([x * c % p for x in a] if p else [x * c for x in a])
+    if p:
+        return tuple(_strip([c % p for c in _int_mul(a, b)]))
+    (ia, da), (ib, db) = _over_q(a), _over_q(b)
+    d = da * db
+    return tuple(_strip([Fraction(c, d) for c in _int_mul(ia, ib)]))
 
 def poly_divmod(a: tuple, b: tuple, p: int) -> "tuple[tuple, tuple]":
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), a
-    r = list(a)
-    q = [_cof(0, p)] * (len(a) - len(b) + 1)
-    inv_lead = _cinv(b[-1], p)
-    for k in range(len(a) - len(b), -1, -1):
-        c = _cmul(r[k + len(b) - 1], inv_lead, p)
-        if c:
-            q[k] = c
-            for j, bj in enumerate(b):
-                if bj:
-                    r[k + j] = _csub(r[k + j], _cmul(c, bj, p), p)
-    rem = r[: len(b) - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    while q and not q[-1]:
-        q.pop()
-    return tuple(q), tuple(rem)
+    if p:
+        r = list(a)
+        q = _divmod_fp(r, b, p)
+        return tuple(q), tuple(_strip([c % p for c in r]))
+    (r, da), (ib, db) = _over_q(a), _over_q(b)
+    # b = g * ib / db with ib primitive; an exact division then never scales r
+    g = math.gcd(*ib)
+    q, s = _pseudo_divmod(r, [c // g for c in ib])
+    da_g = da * g
+    return (
+        tuple(Fraction(c * db, sk * da_g) for c, sk in q),
+        tuple(Fraction(c, s * da) for c in _strip(r)),
+    )
 
 def poly_gcd(a: tuple, b: tuple, p: int) -> tuple:
-    """Monic gcd by the Euclidean algorithm (coefficients form a field)."""
+    """Monic gcd: Euclid over F_p, primitive PRS over Z for Q coefficients."""
+    if p:
+        a, b = list(a), list(b)
+        while b:
+            _divmod_fp(a, b, p)
+            a, b = b, _strip([c % p for c in a])
+        if not a:
+            return ()
+        inv = pow(a[-1], -1, p)
+        return tuple(c * inv % p for c in a)
+    a, b = _primitive(_over_q(a)[0]), _primitive(_over_q(b)[0])
     while b:
-        a, b = b, poly_divmod(a, b, p)[1]
+        if len(b) == 1:  # a nonzero constant: the gcd is 1
+            a = b
+            break
+        _pseudo_divmod(a, b)
+        a, b = b, _primitive(_strip(a))
     if not a:
         return ()
-    inv = _cinv(a[-1], p)
-    return tuple(_cmul(c, inv, p) for c in a)
+    return tuple(Fraction(c, a[-1]) for c in a)
 
 def _poly_exact_div(a: tuple, b: tuple, p: int) -> tuple:
     q, r = poly_divmod(a, b, p)
@@ -274,6 +370,7 @@ class _Integers(_Backend):
 
     one = 1
     add = operator.add
+    sub = operator.sub
     mul = operator.mul
     neg = operator.neg
 
@@ -321,10 +418,10 @@ class _Integers(_Backend):
         m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", s)
         if m is None:
             raise ParseError(f"malformed rational {text!r}")
-        den = int(m.group(2)) if m.group(2) else 1
+        den = parse_int(m.group(2), "denominator") if m.group(2) else 1
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}")
-        return int(m.group(1)), den
+        return parse_int(m.group(1), "numerator"), den
 
     @staticmethod
     def format(num: int, den: int) -> str:
@@ -360,6 +457,11 @@ class _Polynomials(_Backend):
         self.one = (_cof(1, p),)
 
     def canonical(self, num, den) -> "tuple[tuple, tuple]":
+        if type(num) is not tuple or type(den) is not tuple:
+            if not (isinstance(num, (tuple, list)) and isinstance(den, (tuple, list))):
+                raise DomainError(
+                    f"tadic numerator and denominator must be coefficient tuples, got {num!r}, {den!r}"
+                )
         p = self.p
         num = poly(num, p)
         den = poly(den, p)
@@ -381,6 +483,9 @@ class _Polynomials(_Backend):
 
     def add(self, a: tuple, b: tuple) -> tuple:
         return poly_add(a, b, self.p)
+
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        return poly_sub(a, b, self.p)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return poly_mul(a, b, self.p)
@@ -466,8 +571,11 @@ class FieldElement:
     padic: ``num``/``den`` are coprime integers with ``den > 0``.
     tadic: ``num``/``den`` are coprime coefficient tuples, ``den`` monic.
     Construction canonicalizes whatever it is given, so two equal elements
-    always have identical representations.
+    always have identical representations.  Slotted, because matrices and
+    their transforms hold many elements at once.
     """
+
+    __slots__ = ("spec", "num", "den")
 
     spec: FieldSpec
     num: object
@@ -504,22 +612,25 @@ class FieldElement:
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "FieldElement") -> None:
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise DomainError(f"mixed field specs: {self.spec} vs {other.spec}")
+
+    def _cross(self, other: "FieldElement", combine) -> "FieldElement":
+        # a/b (+ or -) c/d = (a*d (+ or -) c*b) / (b*d)
+        self._check(other)
+        mul = self.spec.backend.mul
+        num = combine(mul(self.num, other.den), mul(other.num, self.den))
+        return FieldElement(self.spec, num, mul(self.den, other.den))
 
     def __add__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        self._check(other)
-        ring = self.spec.backend
-        mul = ring.mul
-        num = ring.add(mul(self.num, other.den), mul(other.num, self.den))
-        return FieldElement(self.spec, num, mul(self.den, other.den))
+        return self._cross(other, self.spec.backend.add)
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self + (-other)
+        return self._cross(other, self.spec.backend.sub)
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
@@ -603,6 +714,17 @@ def field_arith(op: str, a: FieldElement, b: "FieldElement | None" = None) -> Fi
 #               (every exponent at most MAX_EXPONENT)
 #   poly     := ['-'] term (('+'|'-') term)*
 #   ratfunc  := poly | '(' poly ')' '/' '(' poly ')' | poly '/' '(' poly ')'
+#   (every digit string at most MAX_DIGITS long)
+
+def parse_int(text: str, what: str) -> int:
+    """A decimal integer with an optional leading '-', of at most MAX_DIGITS digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not digits.isdecimal():
+        raise ParseError(f"malformed {what} {text!r}")
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"{what} has more than {MAX_DIGITS} digits")
+    return int(text)
+
 
 def _split_signed_terms(s: str) -> "list[tuple[int, str]]":
     if not s:
@@ -634,12 +756,13 @@ def _parse_coeff(text: str, p: int) -> Coeff:
     m = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
     if m is None:
         raise ParseError(f"malformed coefficient {text!r}")
-    b = int(m.group(2)) if m.group(2) else 1
+    b = parse_int(m.group(2), "coefficient denominator") if m.group(2) else 1
     if b == 0:
         raise ParseError(f"zero denominator in coefficient {text!r}")
     if not _cof(b, p):
         raise ParseError(f"coefficient denominator {b} is not invertible mod {p}")
-    return _cmul(_cof(int(m.group(1)), p), _cinv(_cof(b, p), p), p)
+    a = parse_int(m.group(1), "coefficient")
+    return _cmul(_cof(a, p), _cinv(_cof(b, p), p), p)
 
 
 def _parse_poly(s: str, var: str, p: int) -> tuple:
@@ -659,10 +782,10 @@ def _parse_poly(s: str, var: str, p: int) -> tuple:
             if m.group("v1") is None:
                 exp = 0
             else:
-                exp = int(m.group("e1")) if m.group("e1") else 1
+                exp = parse_int(m.group("e1"), "exponent") if m.group("e1") else 1
         else:
             c = _cof(1, p)
-            exp = int(m.group("e2")) if m.group("e2") else 1
+            exp = parse_int(m.group("e2"), "exponent") if m.group("e2") else 1
         if exp > MAX_EXPONENT:
             raise ParseError(f"exponent {exp} of {var} exceeds the bound {MAX_EXPONENT}")
         if sign < 0:
@@ -673,9 +796,7 @@ def _parse_poly(s: str, var: str, p: int) -> tuple:
     cs = [_cof(0, p)] * (max(acc) + 1)
     for exp, c in acc.items():
         cs[exp] = c
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+    return tuple(_strip(cs))
 
 
 def _strip_outer_parens(s: str) -> str:

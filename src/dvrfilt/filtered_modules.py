@@ -24,6 +24,7 @@ from .elements import (
     FieldElement,
     format_element,
     parse_element,
+    parse_int,
     pi_power,
 )
 from .valuation import ResidueElem, ValuationSpec
@@ -464,4 +465,4 @@ def format_residue_matrix(rows: ResidueMatrix) -> str:
 def parse_shifts(text: str) -> tuple:
     if not re.fullmatch(r"-?\d+(,-?\d+)*", text):
         raise DomainError(f"malformed shift vector {text!r}")
-    return tuple(int(s) for s in text.split(","))
+    return tuple(parse_int(s, "shift") for s in text.split(","))

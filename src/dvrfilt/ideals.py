@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elements import DomainError, FieldElement, ParseError
+from .elements import DomainError, FieldElement, ParseError, parse_int
 from .valuation import ValuationSpec
 
 
@@ -146,4 +146,4 @@ def parse_ideal(text: str, spec: ValuationSpec) -> FracIdeal:
     m = re.fullmatch(r"pi\^(-?\d+)\*R", s)
     if m is None:
         raise ParseError(f"malformed ideal {text!r}; expected pi^<e>*R or 0")
-    return FracIdeal(spec, int(m.group(1)))
+    return FracIdeal(spec, parse_int(m.group(1), "ideal exponent"))

@@ -14,11 +14,13 @@ coefficient helpers that k[t] uses.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from . import sampling
 from .elements import (
+    PRIME_TEST_BOUND,
     DomainError,
     FieldElement,
     FieldSpec,
@@ -28,6 +30,7 @@ from .elements import (
     _cneg,
     _cof,
     format_element,
+    is_prime,
     pi_power,
 )
 from .reports import AxiomResult, CheckReport
@@ -128,6 +131,11 @@ class ExtInt:
 INFINITY = ExtInt(None)
 
 
+@functools.lru_cache(maxsize=64)
+def _is_field_char(char: int) -> bool:
+    return char == 0 or (char < PRIME_TEST_BOUND and is_prime(char))
+
+
 @dataclass(frozen=True)
 class ResidueElem:
     """Element of the residue field: an integer mod p, or an exact rational.
@@ -140,7 +148,10 @@ class ResidueElem:
     value: object
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _cof(self.value, self.char))
+        char = self.char
+        if type(char) is not int or not _is_field_char(char):
+            raise DomainError(f"residue characteristic must be 0 or a prime, got {char!r}")
+        object.__setattr__(self, "value", _cof(self.value, char))
 
     @property
     def is_zero(self) -> bool:

@@ -201,6 +201,23 @@ def test_exit_code_two_on_bad_input(argv):
     assert out.startswith("error:") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("specf", "upper", "--field", "padic:2", "6", "x"), "malformed level 'x'"),
+        (("val", "--field", "tadic:3", "t^" + "9" * 5000), "exponent has more than 4300 digits"),
+        (("val", "--field", "tadic:0", "1" * 5000 + "*t"), "coefficient has more than 4300 digits"),
+        (("val", "--field", "tadic:0", "1/" + "3" * 5000), "coefficient denominator has more than 4300 digits"),
+        (("val", "--field", "padic:2", "-" + "7" * 5000), "numerator has more than 4300 digits"),
+        (("val", "--field", "padic:" + "7" * 5000, "1"), "field parameter has more than 4300 digits"),
+        (("ideal", "--field", "padic:2", "inv", "pi^" + "1" * 5000 + "*R"), "ideal exponent has more than 4300 digits"),
+    ],
+)
+def test_bad_integers_get_own_error_text(argv, message):
+    # Python's own int() messages must not reach the error line
+    assert run(*argv) == (2, f"error: {message}\n")
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "dvrfilt.cli", "val", "--field", "padic:2", "8/12"],

@@ -317,6 +317,13 @@ def test_tadic_element_rejects_non_rational_coefficients(field, bad):
         FieldElement.from_int(field, bad)
 
 
+@pytest.mark.parametrize("field", [T3, T0], ids=["tadic:3", "tadic:0"])
+def test_tadic_element_rejects_bare_scalar_parts(field):
+    for num, den in ((5, (1,)), ((1,), 2), (Fraction(1, 2), (1,))):
+        with pytest.raises(DomainError):
+            FieldElement(field, num, den)
+
+
 def test_tadic_p_element_rejects_non_integer_fraction_coefficients():
     with pytest.raises(DomainError):
         FieldElement(T3, (Fraction(1, 2),), (1,))

@@ -2,9 +2,15 @@
 
 k is GF(p) for padic:p and tadic:p and QQ for tadic:0, so k[T] is the
 polynomial ring under the tadic fields and the graded ring of every
-field.  Seeded random polynomials are multiplied, added and reduced to a
-gcd by dvrfilt (``poly_mul`` and ``poly_gcd`` on coefficient tuples, and
-``GradedElement`` arithmetic) and by sympy, on each field of the suite.
+field.  Seeded random polynomials up to degree 30 (matrix entries reach
+length 27 on tadic:3) are multiplied, divided with remainder, added and
+reduced to a gcd by dvrfilt (``poly_mul``, ``poly_divmod`` and
+``poly_gcd`` on coefficient tuples, and ``GradedElement`` arithmetic) and
+by sympy, on each field of the suite.
+
+Tuple equality hides a coefficient of the wrong type (a bare int equals
+the Fraction of the same value), so the kernels' coefficient types are
+asserted on their own: ints in [0, p) over F_p, Fractions over Q.
 """
 
 import random
@@ -15,12 +21,14 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy import GF, QQ, Poly, Rational, Symbol  # noqa: E402
 
-from dvrfilt import ValuationSpec, gr_to_poly, poly_to_gr  # noqa: E402
-from dvrfilt.elements import poly, poly_gcd, poly_mul  # noqa: E402
+from dvrfilt import FieldSpec, ValuationSpec, gr_to_poly, poly_to_gr  # noqa: E402
+from dvrfilt.elements import poly, poly_divmod, poly_gcd, poly_mul  # noqa: E402
+from dvrfilt.sampling import random_nonzero_element  # noqa: E402
 
 from conftest import FIELD_STRINGS  # noqa: E402
 
 X = Symbol("X")
+MAX_DEGREE = 30
 
 
 def _sympy_poly(coeffs, char):
@@ -30,10 +38,20 @@ def _sympy_poly(coeffs, char):
 
 
 def _random_coeffs(rng, char):
-    n = rng.randint(0, 6)
+    n = rng.randint(0, MAX_DEGREE + 1)
     if char:
         return poly([rng.randrange(char) for _ in range(n)], char)
-    return poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)], char)
+    # integer coefficients a third of the time: a kernel that skips the
+    # Fraction when the common denominator is 1 must still be caught
+    dens = (1,) if rng.random() < 1 / 3 else (1, 2, 3, 4)
+    return poly([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)], char)
+
+
+def _assert_coeff_types(cs, char):
+    if char:
+        assert all(type(c) is int and 0 <= c < char for c in cs), cs
+    else:
+        assert all(type(c) is Fraction for c in cs), cs
 
 
 @pytest.mark.parametrize("field_str", FIELD_STRINGS)
@@ -46,8 +64,45 @@ def test_poly_mul_and_gcd_match_sympy(field_str):
         ac, bc = poly_mul(a, c, char), poly_mul(b, c, char)
         A, B, C = (_sympy_poly(x, char) for x in (a, b, c))
         assert _sympy_poly(ac, char) == A * C
-        assert _sympy_poly(poly_mul(ac, bc, char), char) == A * C * B * C
-        assert _sympy_poly(poly_gcd(ac, bc, char), char) == (A * C).gcd(B * C)
+        abc = poly_mul(ac, bc, char)
+        assert _sympy_poly(abc, char) == A * C * B * C
+        g = poly_gcd(ac, bc, char)
+        assert _sympy_poly(g, char) == (A * C).gcd(B * C)
+        for cs in (ac, abc, g):
+            _assert_coeff_types(cs, char)
+
+
+@pytest.mark.parametrize("field_str", FIELD_STRINGS)
+def test_poly_divmod_matches_sympy(field_str):
+    char = ValuationSpec.from_string(field_str).residue_char
+    rng = random.Random(f"sympy-divmod:{field_str}")
+    for i in range(100):
+        a = _random_coeffs(rng, char)
+        b = ()
+        while not b:
+            b = _random_coeffs(rng, char)
+        if i % 3 == 0:
+            a = poly_mul(a, b, char)  # zero remainder
+        q, r = poly_divmod(a, b, char)
+        Q, R = _sympy_poly(a, char).div(_sympy_poly(b, char))
+        assert _sympy_poly(q, char) == Q
+        assert _sympy_poly(r, char) == R
+        if i % 3 == 0:
+            assert r == ()
+        assert len(r) < len(b)
+        for cs in (q, r):
+            _assert_coeff_types(cs, char)
+
+
+@pytest.mark.parametrize("field_str", [f for f in FIELD_STRINGS if f.startswith("tadic")])
+def test_field_element_arithmetic_keeps_coefficient_types(field_str):
+    field = FieldSpec.from_string(field_str)
+    rng = random.Random(f"coeff-types:{field_str}")
+    for _ in range(100):
+        x, y = random_nonzero_element(field, rng), random_nonzero_element(field, rng)
+        for z in (x + y, x - y, x * y, x / y, x - x):
+            _assert_coeff_types(z.num, field.param)
+            _assert_coeff_types(z.den, field.param)
 
 
 @pytest.mark.parametrize("field_str", FIELD_STRINGS)

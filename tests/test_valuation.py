@@ -221,6 +221,12 @@ def test_residue_elem_rejects_non_coefficients(char, bad):
         ResidueElem(char, bad)
 
 
+@pytest.mark.parametrize("char", [2.5, 4, 1, -3, True, "3", None])
+def test_residue_elem_rejects_bad_characteristics(char):
+    with pytest.raises(DomainError):
+        ResidueElem(char, 1)
+
+
 def test_residue_elem_canonical_values():
     assert ResidueElem(3, Fraction(7, 1)).value == 1
     assert ResidueElem(3, -1) == ResidueElem(3, 2)
