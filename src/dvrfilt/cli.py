@@ -13,61 +13,11 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .elements import (
-    DomainError,
-    FieldSpec,
-    ParseError,
-    field_arith,
-    format_element,
-    parse_element,
-    parse_int,
-    pi_power,
-)
-from .filtered_modules import (
-    CompatibilityError,
-    FilteredFreeModule,
-    FilteredMap,
-    escape_level,
-    format_matrix,
-    format_residue_matrix,
-    gr_injective,
-    leading_matrix,
-    map_injective,
-    parse_matrix,
-    parse_shifts,
-    parse_vector,
-    snf,
-)
-from .filtration import (
-    adic_vs_valuation,
-    check_filtration_axioms,
-    principal_generator,
-    strong_split,
-)
-from .graded import format_graded, gr_arith, parse_graded, symbol
-from .ideals import (
-    as_power_of_m,
-    denominator_witness,
-    format_ideal,
-    ideal_from_generators,
-    ideal_inverse,
-    ideal_op,
-    parse_ideal,
-)
-from .spectrum import (
-    FiltFn,
-    SpecPrime,
-    branched,
-    lemma32_report,
-    lower_member,
-    prop36_check,
-    spec_f,
-    upper_member,
-)
-from .valuation import ValuationSpec, check_valuation_axioms
+# Each handler imports the library names it uses, so a process loads only
+# the modules of its subcommand; json is imported for --json output only.
+from .elements import DomainError, FieldSpec, ParseError
 
 
 class CliUsageError(Exception):
@@ -79,7 +29,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _vspec(ns) -> ValuationSpec:
+def _vspec(ns):
+    from .valuation import ValuationSpec
+
     return ValuationSpec(FieldSpec.from_string(ns.field))
 
 
@@ -89,24 +41,29 @@ def _bool_text(value) -> str:
     return str(value)
 
 
+def _json_line(obj: dict) -> str:
+    import json
+
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _emit(ns, pairs, code: int = 0):
     if ns.json:
-        obj = {k: v for k, v in pairs}
-        return code, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return code, _json_line(dict(pairs))
     return code, "\n".join(f"{k}={_bool_text(v)}" for k, v in pairs) + "\n"
 
 
 def _emit_report(ns, report):
     code = 0 if report.ok else 1
     if ns.json:
-        return code, json.dumps(report.to_flat_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return code, _json_line(report.to_flat_dict())
     return code, report.render() + "\n"
 
 
 def _emit_status(ns, report):
     code = 1 if (getattr(ns, "strict", False) and not report.all_pass) else 0
     if ns.json:
-        return code, json.dumps(report.to_flat_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return code, _json_line(report.to_flat_dict())
     return code, report.render() + "\n"
 
 
@@ -118,11 +75,15 @@ def _require_seed(ns):
 # -- handlers ---------------------------------------------------------------
 
 def _cmd_parse(ns):
+    from .elements import format_element, parse_element
+
     x = parse_element(ns.element, FieldSpec.from_string(ns.field))
     return _emit(ns, [("element", format_element(x))])
 
 
 def _cmd_arith(ns):
+    from .elements import field_arith, format_element, parse_element
+
     field = FieldSpec.from_string(ns.field)
     a = parse_element(ns.a, field)
     b = parse_element(ns.b, field) if ns.b is not None else None
@@ -131,23 +92,32 @@ def _cmd_arith(ns):
 
 
 def _cmd_pipow(ns):
+    from .elements import format_element, pi_power
+
     field = FieldSpec.from_string(ns.field)
     return _emit(ns, [("element", format_element(pi_power(field, ns.n)))])
 
 
 def _cmd_val(ns):
+    from .elements import parse_element
+
     spec = _vspec(ns)
     v = spec.valuation(parse_element(ns.element, spec.field))
     return _emit(ns, [("v", str(v))])
 
 
 def _cmd_residue(ns):
+    from .elements import parse_element
+
     spec = _vspec(ns)
     r = spec.residue(parse_element(ns.element, spec.field))
     return _emit(ns, [("residue", str(r))])
 
 
 def _cmd_symbol(ns):
+    from .elements import parse_element
+    from .graded import format_graded, symbol
+
     spec = _vspec(ns)
     g = symbol(spec, parse_element(ns.element, spec.field))
     degree, coeff = g.terms[0]
@@ -158,6 +128,8 @@ def _cmd_symbol(ns):
 
 
 def _cmd_grmul(ns):
+    from .graded import format_graded, gr_arith, parse_graded
+
     spec = _vspec(ns)
     u = parse_graded(ns.u, spec)
     v = parse_graded(ns.v, spec)
@@ -165,6 +137,8 @@ def _cmd_grmul(ns):
 
 
 def _cmd_filt_check(ns):
+    from .filtration import check_filtration_axioms
+
     _require_seed(ns)
     samples = ns.samples if ns.samples is not None else 200
     report = check_filtration_axioms(_vspec(ns), ns.seed, samples, ns.max_level)
@@ -172,6 +146,9 @@ def _cmd_filt_check(ns):
 
 
 def _cmd_strong_split(ns):
+    from .elements import format_element, parse_element
+    from .filtration import strong_split
+
     spec = _vspec(ns)
     c = parse_element(ns.element, spec.field)
     a, b = strong_split(spec, c, ns.n, ns.m)
@@ -182,6 +159,8 @@ def _cmd_strong_split(ns):
 
 
 def _cmd_adic_check(ns):
+    from .filtration import adic_vs_valuation
+
     _require_seed(ns)
     samples = ns.samples if ns.samples is not None else 200
     report = adic_vs_valuation(_vspec(ns), ns.level, ns.seed, samples)
@@ -189,6 +168,18 @@ def _cmd_adic_check(ns):
 
 
 def _cmd_ideal(ns):
+    from .elements import format_element, format_int, parse_element
+    from .filtration import principal_generator
+    from .ideals import (
+        as_power_of_m,
+        denominator_witness,
+        format_ideal,
+        ideal_from_generators,
+        ideal_inverse,
+        ideal_op,
+        parse_ideal,
+    )
+
     spec = _vspec(ns)
     op = ns.op
     args = ns.args
@@ -212,13 +203,15 @@ def _cmd_ideal(ns):
     if op == "inv":
         return _emit(ns, [("ideal", format_ideal(ideal_inverse(i)))])
     if op == "power":
-        return _emit(ns, [("n", str(as_power_of_m(i)))])
+        return _emit(ns, [("n", format_int(as_power_of_m(i)))])
     if op == "denom":
         return _emit(ns, [("witness", format_element(denominator_witness(i)))])
     raise CliUsageError(f"unknown ideal operation {op!r}")
 
 
 def _cmd_snf(ns):
+    from .filtered_modules import format_matrix, parse_matrix, snf
+
     spec = _vspec(ns)
     matrix = parse_matrix(ns.matrix, spec)
     result = snf(spec, matrix)
@@ -233,6 +226,8 @@ def _cmd_snf(ns):
 
 
 def _grmap_modules(ns, spec, rows, cols):
+    from .filtered_modules import FilteredFreeModule, parse_shifts
+
     src_shifts = parse_shifts(ns.shifts_src) if ns.shifts_src else (0,) * cols
     dst_shifts = parse_shifts(ns.shifts_dst) if ns.shifts_dst else (0,) * rows
     if len(src_shifts) != cols or len(dst_shifts) != rows:
@@ -241,12 +236,27 @@ def _grmap_modules(ns, spec, rows, cols):
 
 
 def _cmd_grmap(ns):
+    from .elements import format_int
+    from .filtered_modules import (
+        CompatibilityError,
+        FilteredFreeModule,
+        FilteredMap,
+        escape_level,
+        format_residue_matrix,
+        gr_injective,
+        leading_matrix,
+        map_injective,
+        parse_matrix,
+        parse_shifts,
+        parse_vector,
+    )
+
     spec = _vspec(ns)
     if ns.op == "escape":
         vector = parse_vector(ns.operand, spec)
         shifts = parse_shifts(ns.shifts_src) if ns.shifts_src else (0,) * len(vector)
         module = FilteredFreeModule(spec, shifts)
-        return _emit(ns, [("escape", str(escape_level(module, vector)))])
+        return _emit(ns, [("escape", format_int(escape_level(module, vector)))])
     matrix = parse_matrix(ns.operand, spec)
     source, target = _grmap_modules(ns, spec, len(matrix), len(matrix[0]))
     if ns.op == "compat":
@@ -270,6 +280,18 @@ def _cmd_grmap(ns):
 
 
 def _cmd_specf(ns):
+    from .elements import parse_element, parse_int
+    from .spectrum import (
+        FiltFn,
+        SpecPrime,
+        branched,
+        lemma32_report,
+        lower_member,
+        prop36_check,
+        spec_f,
+        upper_member,
+    )
+
     spec = _vspec(ns)
     ff = FiltFn(spec)
     if ns.op in ("upper", "lower"):
@@ -301,6 +323,8 @@ def _cmd_specf(ns):
 
 
 def _cmd_axioms(ns):
+    from .valuation import check_valuation_axioms
+
     _require_seed(ns)
     samples = ns.samples if ns.samples is not None else 1000
     report = check_valuation_axioms(_vspec(ns), ns.seed, samples)

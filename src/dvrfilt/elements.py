@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -58,6 +57,44 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     """An argument lies outside the operation's domain."""
+
+
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields as ``__slots__``, in order, and sets them in
+    ``__init__`` through ``_set``; assignment afterwards raises
+    ``AttributeError``.  Two instances of one class are equal when their
+    field tuples are, the hash is that of the field tuple, and the repr
+    reads ``Class(field=value, ...)``.  The hot classes override these with
+    straight-line code.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # Miller-Rabin with the first 13 primes as bases is exact for every n below
@@ -100,37 +137,46 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_Frozen):
     """Selects one of the concrete fields: ``padic:p`` or ``tadic:p``.
 
     ``param`` is the prime p for ``padic``; for ``tadic`` it is the
     coefficient characteristic (a prime, or 0 meaning Q coefficients).
-    ``backend`` is derived from both and takes no part in equality.
+    ``backend`` is derived from both and takes no part in equality, hash
+    or repr.
     """
 
-    kind: str
-    param: int
-    backend: "_Backend" = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "param", "backend")
 
-    def __post_init__(self) -> None:
-        if type(self.param) is not int:
-            raise ParseError(f"field parameter must be an int, got {self.param!r}")
-        if self.kind in (PADIC, TADIC) and self.param >= PRIME_TEST_BOUND:
-            raise ParseError(
-                f"{self.kind} parameter must be below {PRIME_TEST_BOUND}, got {self.param}"
-            )
-        if self.kind == PADIC:
-            if not is_prime(self.param):
-                raise ParseError(f"padic parameter must be a prime >= 2, got {self.param}")
-            backend = _Integers(self.param)
-        elif self.kind == TADIC:
-            if self.param != 0 and not is_prime(self.param):
-                raise ParseError(f"tadic parameter must be 0 or a prime, got {self.param}")
-            backend = _Polynomials(self.param)
+    def __init__(self, kind: str, param: int) -> None:
+        if type(param) is not int:
+            raise ParseError(f"field parameter must be an int, got {param!r}")
+        if kind in (PADIC, TADIC) and param >= PRIME_TEST_BOUND:
+            raise ParseError(f"{kind} parameter must be below {PRIME_TEST_BOUND}, got {param}")
+        if kind == PADIC:
+            if not is_prime(param):
+                raise ParseError(f"padic parameter must be a prime >= 2, got {param}")
+            backend = _Integers(param)
+        elif kind == TADIC:
+            if param != 0 and not is_prime(param):
+                raise ParseError(f"tadic parameter must be 0 or a prime, got {param}")
+            backend = _Polynomials(param)
         else:
-            raise ParseError(f"unknown field kind {self.kind!r}")
-        object.__setattr__(self, "backend", backend)
+            raise ParseError(f"unknown field kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "param", param)
+        _set(self, "backend", backend)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.param == other.param
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.param))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(kind={self.kind!r}, param={self.param!r})"
 
     @classmethod
     def from_string(cls, text: str) -> "FieldSpec":
@@ -425,7 +471,7 @@ class _Integers(_Backend):
 
     @staticmethod
     def format(num: int, den: int) -> str:
-        return str(num) if den == 1 else f"{num}/{den}"
+        return format_int(num) if den == 1 else f"{format_int(num)}/{format_int(den)}"
 
     def random_unit(self, rng) -> "tuple[int, int]":
         p = self.p
@@ -564,27 +610,35 @@ class _Polynomials(_Backend):
 # ---------------------------------------------------------------------------
 # field elements
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(_Frozen):
     """An element of the field selected by ``spec``, always canonical.
 
     padic: ``num``/``den`` are coprime integers with ``den > 0``.
     tadic: ``num``/``den`` are coprime coefficient tuples, ``den`` monic.
     Construction canonicalizes whatever it is given, so two equal elements
-    always have identical representations.  Slotted, because matrices and
-    their transforms hold many elements at once.
+    always have identical representations.
     """
 
     __slots__ = ("spec", "num", "den")
 
-    spec: FieldSpec
-    num: object
-    den: object
+    def __init__(self, spec: FieldSpec, num, den) -> None:
+        _set(self, "spec", spec)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         num, den = self.spec.backend.canonical(self.num, self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.spec, self.num, self.den) == (other.spec, other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.num, self.den))
 
     # -- constructors -------------------------------------------------
 
@@ -851,12 +905,35 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
 # ---------------------------------------------------------------------------
 # formatting
 
-def _format_coeff_magnitude(c: Coeff) -> "tuple[str, bool]":
+# Every int below 2**_STR_SAFE_BITS has at most 4215 decimal digits, inside
+# CPython's default int-string limit (4300).
+_STR_SAFE_BITS = 14_000
+
+
+def format_int(n: int) -> str:
+    """Decimal text of any int; past the int-string limit, in halves."""
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + format_int(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return format_int(high) + format_int(low).zfill(k)
+
+
+def format_coeff(c: Coeff) -> str:
+    """Text of a coefficient: an int, or a Fraction as ``a`` or ``a/b``."""
     if isinstance(c, Fraction):
-        neg = c < 0
-        c = -c if neg else c
-        return (str(c), neg)
-    return (str(c), False)
+        if c.denominator == 1:
+            return format_int(c.numerator)
+        return f"{format_int(c.numerator)}/{format_int(c.denominator)}"
+    return format_int(c)
+
+
+def _format_coeff_magnitude(c: Coeff) -> "tuple[str, bool]":
+    if c < 0:
+        return format_coeff(-c), True
+    return format_coeff(c), False
 
 
 def format_poly(coeffs: tuple, var: str, ascending: bool = False, spaced: bool = False) -> str:

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import sampling
 from .elements import (
     DomainError,
     FieldElement,
+    _Frozen,
+    _set,
     format_element,
     parse_element,
     parse_int,
@@ -42,18 +43,17 @@ class CompatibilityError(DomainError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class FilteredFreeModule:
+class FilteredFreeModule(_Frozen):
     """Free module of finite rank with a shift-induced filtration."""
 
-    spec: ValuationSpec
-    shifts: tuple
+    __slots__ = ("spec", "shifts")
 
-    def __post_init__(self) -> None:
-        shifts = tuple(int(s) for s in self.shifts)
+    def __init__(self, spec: ValuationSpec, shifts: tuple) -> None:
+        shifts = tuple(int(s) for s in shifts)
         if not shifts:
             raise DomainError("module rank must be >= 1")
-        object.__setattr__(self, "shifts", shifts)
+        _set(self, "spec", spec)
+        _set(self, "shifts", shifts)
 
     @property
     def rank(self) -> int:
@@ -88,17 +88,22 @@ def escape_level(module: FilteredFreeModule, vector: Sequence[FieldElement]) -> 
     return best + 1
 
 
-@dataclass(frozen=True)
-class FilteredMap:
+class FilteredMap(_Frozen):
     """A matrix over R between shifted filtered free modules.
 
     Rows index the target, columns the source; construction validates the
     compatibility bound v(A_ij) >= max(0, s_j - t_i) entrywise.
     """
 
-    source: FilteredFreeModule
-    target: FilteredFreeModule
-    matrix: tuple
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(
+        self, source: FilteredFreeModule, target: FilteredFreeModule, matrix: tuple
+    ) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "matrix", matrix)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.source.spec != self.target.spec:
@@ -120,7 +125,7 @@ class FilteredMap:
                         f"entry ({i},{j}) = {format_element(a)} has valuation "
                         f"{spec.valuation(a)} < required {need}",
                     )
-        object.__setattr__(self, "matrix", rows)
+        _set(self, "matrix", rows)
 
     @property
     def spec(self) -> ValuationSpec:

@@ -11,19 +11,21 @@ degrees occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .elements import DomainError, FieldElement, _parse_poly, format_poly
+from .elements import DomainError, FieldElement, _Frozen, _parse_poly, _set, format_poly
 from .valuation import ResidueElem, ValuationSpec
 
 
-@dataclass(frozen=True)
-class GradedElement:
+class GradedElement(_Frozen):
     """An element of the graded ring: sparse degree -> residue coefficient map."""
 
-    spec: ValuationSpec
-    terms: tuple
+    __slots__ = ("spec", "terms")
+
+    def __init__(self, spec: ValuationSpec, terms: tuple) -> None:
+        _set(self, "spec", spec)
+        _set(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         char = self.spec.residue_char
@@ -37,11 +39,15 @@ class GradedElement:
                 acc[degree] = acc[degree] + coeff
             else:
                 acc[degree] = coeff
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((d, c) for d, c in sorted(acc.items()) if not c.is_zero),
-        )
+        _set(self, "terms", tuple((d, c) for d, c in sorted(acc.items()) if not c.is_zero))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.spec == other.spec and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.terms))
 
     @classmethod
     def zero(cls, spec: ValuationSpec) -> "GradedElement":

@@ -11,19 +11,20 @@ the powers of the maximal ideal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
-from .elements import DomainError, FieldElement, ParseError, parse_int
+from .elements import DomainError, FieldElement, ParseError, _Frozen, _set, format_int, parse_int
 from .valuation import ValuationSpec
 
 
-@dataclass(frozen=True)
-class FracIdeal:
+class FracIdeal(_Frozen):
     """A fractional ideal: zero marker, or the exponent e meaning pi^e * R."""
 
-    spec: ValuationSpec
-    exponent: int | None
+    __slots__ = ("spec", "exponent")
+
+    def __init__(self, spec: ValuationSpec, exponent: int | None) -> None:
+        _set(self, "spec", spec)
+        _set(self, "exponent", exponent)
 
     @classmethod
     def zero(cls, spec: ValuationSpec) -> "FracIdeal":
@@ -136,7 +137,7 @@ def as_power_of_m(i: FracIdeal) -> int:
 def format_ideal(i: FracIdeal) -> str:
     if i.is_zero:
         return "0"
-    return f"pi^{i.exponent}*R"
+    return f"pi^{format_int(i.exponent)}*R"
 
 
 def parse_ideal(text: str, spec: ValuationSpec) -> FracIdeal:

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .elements import _Frozen, _set
 
 PASS = "PASS"
 FAIL_LITERAL = "FAIL-LITERAL"
 
 
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(_Frozen):
     """Outcome of one sampled axiom: pass count out of total, first counterexample."""
 
-    name: str
-    passed: int
-    total: int
-    counterexample: str | None = None
+    __slots__ = ("name", "passed", "total", "counterexample")
+
+    def __init__(
+        self, name: str, passed: int, total: int, counterexample: str | None = None
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "total", total)
+        _set(self, "counterexample", counterexample)
 
     @property
     def ok(self) -> bool:
@@ -28,9 +32,11 @@ class AxiomResult:
         return line
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    results: tuple[AxiomResult, ...]
+class CheckReport(_Frozen):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[AxiomResult, ...]) -> None:
+        _set(self, "results", results)
 
     @property
     def ok(self) -> bool:
@@ -50,13 +56,15 @@ class CheckReport:
         return out
 
 
-@dataclass(frozen=True)
-class ClauseStatus:
+class ClauseStatus(_Frozen):
     """Verdict for one clause of a literal-semantics suite."""
 
-    clause: str
-    status: str
-    witness: str | None = None
+    __slots__ = ("clause", "status", "witness")
+
+    def __init__(self, clause: str, status: str, witness: str | None = None) -> None:
+        _set(self, "clause", clause)
+        _set(self, "status", status)
+        _set(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -69,9 +77,11 @@ class ClauseStatus:
         return line
 
 
-@dataclass(frozen=True)
-class StatusReport:
-    clauses: tuple[ClauseStatus, ...]
+class StatusReport(_Frozen):
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: tuple[ClauseStatus, ...]) -> None:
+        _set(self, "clauses", clauses)
 
     @property
     def all_pass(self) -> bool:

@@ -24,11 +24,10 @@ definitions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from . import sampling
-from .elements import DomainError, FieldElement, format_element
+from .elements import DomainError, FieldElement, _Frozen, _set, format_element
 from .reports import FAIL_LITERAL, PASS, ClauseStatus, StatusReport
 from .valuation import ExtInt, ValuationSpec
 
@@ -47,11 +46,13 @@ class SpecPrime(Enum):
         raise DomainError(f"unknown prime {text!r}; expected '0' or 'm'")
 
 
-@dataclass(frozen=True)
-class FiltFn:
+class FiltFn(_Frozen):
     """The valuation-induced filtration function on R, valued in Z + infinity."""
 
-    spec: ValuationSpec
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: ValuationSpec) -> None:
+        _set(self, "spec", spec)
 
     def value(self, x: FieldElement) -> ExtInt:
         v = self.spec.valuation(x)

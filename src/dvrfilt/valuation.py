@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 from . import sampling
 from .elements import (
@@ -29,6 +28,9 @@ from .elements import (
     _cmul,
     _cneg,
     _cof,
+    _Frozen,
+    _set,
+    format_coeff,
     format_element,
     is_prime,
     pi_power,
@@ -36,8 +38,7 @@ from .elements import (
 from .reports import AxiomResult, CheckReport
 
 
-@dataclass(frozen=True, eq=False)
-class ExtInt:
+class ExtInt(_Frozen):
     """An integer extended with +infinity, the valuation of zero.
 
     Infinity is a distinct tagged value (``value is None``), never a
@@ -45,7 +46,10 @@ class ExtInt:
     Comparisons and addition also accept plain ints.
     """
 
-    value: int | None
+    __slots__ = ("value",)
+
+    def __init__(self, value: int | None) -> None:
+        _set(self, "value", value)
 
     @property
     def is_infinite(self) -> bool:
@@ -136,22 +140,28 @@ def _is_field_char(char: int) -> bool:
     return char == 0 or (char < PRIME_TEST_BOUND and is_prime(char))
 
 
-@dataclass(frozen=True)
-class ResidueElem:
+class ResidueElem(_Frozen):
     """Element of the residue field: an integer mod p, or an exact rational.
 
     ``char`` is p for F_p and 0 for Q; values are canonical (representative
     in [0, p), or a reduced Fraction), so equality is structural.
     """
 
-    char: int
-    value: object
+    __slots__ = ("char", "value")
 
-    def __post_init__(self) -> None:
-        char = self.char
+    def __init__(self, char: int, value) -> None:
         if type(char) is not int or not _is_field_char(char):
             raise DomainError(f"residue characteristic must be 0 or a prime, got {char!r}")
-        object.__setattr__(self, "value", _cof(self.value, char))
+        _set(self, "char", char)
+        _set(self, "value", _cof(value, char))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.char == other.char and self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.char, self.value))
 
     @property
     def is_zero(self) -> bool:
@@ -193,14 +203,24 @@ class ResidueElem:
         return self * other.inverse()
 
     def __str__(self) -> str:
-        return str(self.value)
+        return format_coeff(self.value)
 
 
-@dataclass(frozen=True)
-class ValuationSpec:
+class ValuationSpec(_Frozen):
     """A concrete discretely valued field: field spec, uniformizer, residue field."""
 
-    field: FieldSpec
+    __slots__ = ("field",)
+
+    def __init__(self, field: FieldSpec) -> None:
+        _set(self, "field", field)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.field == other.field
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field,))
 
     @classmethod
     def from_string(cls, text: str) -> "ValuationSpec":

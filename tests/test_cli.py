@@ -233,3 +233,71 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+_A = "9" * 3000  # A * A = 10^6000 - 2 * 10^3000 + 1
+_A_SQUARED = "9" * 2999 + "8" + "0" * 2999 + "1"
+_E = "9" * 4300  # the longest accepted digit string
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("arith", "--field", "padic:2", "mul", _A, _A), f"result={_A_SQUARED}"),
+        (("arith", "--field", "tadic:0", "mul", _A, _A), f"result={_A_SQUARED}"),
+        (("grmul", "--field", "tadic:0", _A, _A), f"result={_A_SQUARED}"),
+        (("ideal", "--field", "padic:2", "prod", f"pi^{_E}*R", f"pi^{_E}*R"),
+         f"ideal=pi^1{'9' * 4299}8*R"),
+        (("grmap", "escape", "--field", "padic:2", "1", f"--shifts-src={_E}"), f"escape=1{'0' * 4300}"),
+    ],
+    ids=["arith-padic", "arith-tadic0", "grmul-tadic0", "ideal-prod", "grmap-escape"],
+)
+def test_results_past_the_int_string_limit_print(argv, out):
+    # accepted inputs give results of more than 4300 digits, printed in full
+    assert run(*argv) == (0, out + "\n")
+
+
+# -- what one CLI process imports: each probe runs in a fresh interpreter
+# -- and lists the modules loaded after its start
+
+_PROBE = """
+import sys
+before = set(sys.modules)
+{body}
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _loaded(body):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(body=body)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def _loaded_by_dispatch(*argv):
+    return _loaded(f"from dvrfilt.cli import dispatch\nassert dispatch({list(argv)!r})[0] == 0")
+
+
+def test_import_dvrfilt_loads_no_submodule():
+    assert not [m for m in _loaded("import dvrfilt") if m.startswith("dvrfilt.")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("parse", "--field", "padic:2", "8/12"), ("val", "--field", "tadic:3", "t^2/(t+1)")],
+    ids=["parse", "val"],
+)
+def test_light_subcommands_load_only_what_they_run(argv):
+    loaded = _loaded_by_dispatch(*argv)
+    assert "dvrfilt.elements" in loaded
+    assert not loaded & {"dataclasses", "json", "dvrfilt.filtered_modules", "dvrfilt.spectrum"}
+
+
+def test_snf_loads_the_module_layer():
+    assert "dvrfilt.filtered_modules" in _loaded_by_dispatch("snf", "--field", "padic:2", "2,4;0,8")
+
+
+def test_json_output_loads_json():
+    assert "json" in _loaded_by_dispatch("val", "--field", "padic:2", "8/12", "--json")
