@@ -443,7 +443,8 @@ def _normalize_argv(argv) -> list:
     # Stable-partition into subcommand, flags, '--', positionals.  This works
     # around argparse consuming a split nargs='*' positional as zero-width,
     # and lets element arguments with a leading '-' parse without a manual
-    # '--' separator.
+    # '--' separator.  argparse drops '--' tokens from positionals, so a
+    # repeated '--' can carry no value and is rejected.
     argv = list(argv)
     if not argv or argv[0].startswith("-"):
         return argv
@@ -455,6 +456,8 @@ def _normalize_argv(argv) -> list:
     while i < len(rest):
         tok = rest[i]
         if literal:
+            if tok == "--":
+                raise CliUsageError("'--' may be given only once")
             positionals.append(tok)
         elif tok == "--":
             literal = True

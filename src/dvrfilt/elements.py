@@ -22,6 +22,14 @@ Canonical form is unique, so equality of elements is plain structural
 equality, everything is immutable and hashable, and all arithmetic is
 exact at any magnitude (Python integers / ``fractions.Fraction``).
 
+Only outside input (``FieldElement(spec, num, den)``, parsing, random
+units) is canonicalized.  Arithmetic builds results in lowest terms and
+stores them through ``FieldElement._trusted``, which checks nothing.  For
+coprime a/b and c/d (Henrici; Knuth, TAOCP 2, 4.5.1), a/b * c/d needs only
+gcd(a, d) and gcd(c, b); a/b + c/d needs no gcd when g = gcd(b, d) is 1,
+else one against g.  pi^n * x (``shift``) cancels min(n, ord_pi(den))
+powers of pi from the denominator, or the mirror image for n < 0, no gcd.
+
 Polynomials are coefficient tuples in ascending degree with no trailing
 zeros; the zero polynomial is the empty tuple.  Every coefficient is an
 ``int`` in ``[0, p)`` over F_p and a ``Fraction`` (never a bare ``int``)
@@ -60,6 +68,7 @@ class DomainError(ValueError):
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class _Frozen:
@@ -392,10 +401,12 @@ class _Backend:
     """Shared by both backends; ``p`` is the characteristic of k (0 for Q).
 
     ``order`` is the exact power of the uniformizer in a nonzero ring
-    element and ``reduce`` the ring map onto k.  ``clear_denominators(row)``
-    gives the numerators of L * row and L, as a field element, for L the lcm
-    of the denominators; ``cross_quotient(a, b, c, d, e)`` is the exact
-    (a*b - c*d) / e of one fraction-free (Bareiss) entry update.
+    element and ``reduce`` the ring map onto k.  ``gcd`` is positive or
+    monic, ``div`` exact, and ``normalize`` makes a denominator so.
+    ``clear_denominators(row)`` gives the numerators of L * row and L, as a
+    field element, for L the lcm of the denominators; ``cross_quotient(a, b,
+    c, d, e)`` is the exact (a*b - c*d) / e of one fraction-free (Bareiss)
+    entry update.
     """
 
     def __init__(self, p: int) -> None:
@@ -410,6 +421,14 @@ class _Backend:
         p = self.p
         return _cmul(self.reduce(x.num), _cinv(self.reduce(x.den), p), p)
 
+    def shift(self, num, den, n: int) -> tuple:
+        """pi^n * num/den in lowest terms, for a nonzero num/den in lowest terms."""
+        if n < 0:
+            den, num = self.shift(den, num, -n)
+            return num, den
+        k = min(n, self.order(den))
+        return self._up(num, n - k), self._down(den, k)
+
 
 class _Integers(_Backend):
     """padic:p -- coprime ints with a positive denominator."""
@@ -419,6 +438,8 @@ class _Integers(_Backend):
     sub = operator.sub
     mul = operator.mul
     neg = operator.neg
+    gcd = staticmethod(math.gcd)
+    div = operator.floordiv
 
     @staticmethod
     def canonical(num, den) -> "tuple[int, int]":
@@ -436,16 +457,20 @@ class _Integers(_Backend):
             g = math.gcd(num, den)
             num //= g
             den //= g
-        if den < 0:
-            num, den = -num, -den
-        return num, den
+        return _Integers.normalize(num, den)
 
     @staticmethod
-    def from_int(n: int) -> int:
-        return n
+    def normalize(num: int, den: int) -> "tuple[int, int]":
+        return (-num, -den) if den < 0 else (num, den)
 
-    def pi_power(self, e: int) -> int:
-        return self.p ** e
+    def from_int(self, n: int) -> int:
+        return n if type(n) is int else self.canonical(n, 1)[0]
+
+    def _up(self, n: int, e: int) -> int:
+        return n * self.p**e
+
+    def _down(self, n: int, e: int) -> int:
+        return n // self.p**e
 
     def order(self, n: int) -> int:
         n = abs(n)
@@ -514,18 +539,28 @@ class _Polynomials(_Backend):
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
         if not num:
-            den = self.one
-        elif den != self.one:
-            g = poly_gcd(num, den, p)
-            if len(g) > 1:
-                num = _poly_exact_div(num, g, p)
-                den = _poly_exact_div(den, g, p)
-            lc = den[-1]
-            if lc != self.one[0]:
-                inv = _cinv(lc, p)
-                num = tuple(_cmul(c, inv, p) for c in num)
-                den = tuple(_cmul(c, inv, p) for c in den)
-        return num, den
+            return num, self.one
+        g = self.gcd(num, den)
+        if g != self.one:
+            num, den = self.div(num, g), self.div(den, g)
+        return self.normalize(num, den)
+
+    def normalize(self, num: tuple, den: tuple) -> "tuple[tuple, tuple]":
+        lc = den[-1]
+        if lc == 1:
+            return num, den
+        p = self.p
+        inv = _cinv(lc, p)
+        return tuple(_cmul(c, inv, p) for c in num), tuple(_cmul(c, inv, p) for c in den)
+
+    def gcd(self, a: tuple, b: tuple) -> tuple:
+        # a nonzero constant is a unit of k[t]
+        if len(a) == 1 or len(b) == 1:
+            return self.one
+        return poly_gcd(a, b, self.p)
+
+    def div(self, a: tuple, b: tuple) -> tuple:
+        return _poly_exact_div(a, b, self.p)
 
     def add(self, a: tuple, b: tuple) -> tuple:
         return poly_add(a, b, self.p)
@@ -534,6 +569,10 @@ class _Polynomials(_Backend):
         return poly_sub(a, b, self.p)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
+        if a and b and not (a[0] and b[0]):
+            # t^i*a' times t^j*b' is t^(i+j)*(a'*b'): multiply without the zeros
+            i, j = self.order(a), self.order(b)
+            return a[:i] + b[:j] + poly_mul(a[i:], b[j:], self.p)
         return poly_mul(a, b, self.p)
 
     def neg(self, a: tuple) -> tuple:
@@ -542,15 +581,18 @@ class _Polynomials(_Backend):
     def from_int(self, n: int) -> tuple:
         return poly([n], self.p)
 
-    def pi_power(self, e: int) -> tuple:
-        return poly([0] * e + [1], self.p)
-
     @staticmethod
     def order(a: tuple) -> int:
         for i, c in enumerate(a):
             if c:
                 return i
         raise DomainError("t-order of the zero polynomial")
+
+    def _up(self, a: tuple, e: int) -> tuple:
+        return (_cof(0, self.p),) * e + a
+
+    def _down(self, a: tuple, e: int) -> tuple:
+        return a[e:]
 
     def reduce(self, a: tuple) -> Coeff:
         return a[0] if a else _cof(0, self.p)
@@ -571,8 +613,8 @@ class _Polynomials(_Backend):
             return num_s
         return f"({num_s})/({format_poly(den, 't')})"
 
-    def _random_unit_poly(self, rng) -> tuple:
-        # nonzero constant term => t-order 0
+    def _random_unit_poly(self, rng) -> list:
+        # nonzero constant term => t-order 0; the caller canonicalizes
         p = self.p
         deg = rng.randrange(0, 4)
         if p:
@@ -585,7 +627,7 @@ class _Polynomials(_Backend):
             cs[0] = rng.choice((1, 2, 3, -1, -2, 5))
             if deg and cs[-1] == 0:
                 cs[-1] = rng.choice((1, -1, 2))
-        return poly(cs, p)
+        return cs
 
     def random_unit(self, rng) -> "tuple[tuple, tuple]":
         return self._random_unit_poly(rng), self._random_unit_poly(rng)
@@ -615,7 +657,8 @@ class FieldElement(_Frozen):
 
     padic: ``num``/``den`` are coprime integers with ``den > 0``.
     tadic: ``num``/``den`` are coprime coefficient tuples, ``den`` monic.
-    Construction canonicalizes whatever it is given, so two equal elements
+    The constructor canonicalizes whatever it is given and arithmetic builds
+    canonical results (see the module docstring), so two equal elements
     always have identical representations.
     """
 
@@ -631,6 +674,15 @@ class FieldElement(_Frozen):
         num, den = self.spec.backend.canonical(self.num, self.den)
         _set(self, "num", num)
         _set(self, "den", den)
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, num, den) -> "FieldElement":
+        """An element from a pair that is already canonical; nothing is checked."""
+        x = _new(cls)
+        _set(x, "spec", spec)
+        _set(x, "num", num)
+        _set(x, "den", den)
+        return x
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -652,7 +704,7 @@ class FieldElement(_Frozen):
 
     @classmethod
     def from_int(cls, spec: FieldSpec, n: int) -> "FieldElement":
-        return cls(spec, spec.backend.from_int(n), spec.backend.one)
+        return cls._trusted(spec, spec.backend.from_int(n), spec.backend.one)
 
     # -- predicates ---------------------------------------------------
 
@@ -669,29 +721,55 @@ class FieldElement(_Frozen):
         if other.spec is not self.spec and other.spec != self.spec:
             raise DomainError(f"mixed field specs: {self.spec} vs {other.spec}")
 
-    def _cross(self, other: "FieldElement", combine) -> "FieldElement":
-        # a/b (+ or -) c/d = (a*d (+ or -) c*b) / (b*d)
+    def _sum(self, other: "FieldElement", combine) -> "FieldElement":
+        # with g = gcd(b, d) and b = g*s: (a*(d/g) +- c*s) / (s*d), only g can cancel
         self._check(other)
-        mul = self.spec.backend.mul
-        num = combine(mul(self.num, other.den), mul(other.num, self.den))
-        return FieldElement(self.spec, num, mul(self.den, other.den))
+        ring = self.spec.backend
+        mul, div = ring.mul, ring.div
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = ring.gcd(b, d)
+        if g == ring.one:
+            num, den = combine(mul(a, d), mul(c, b)), mul(b, d)
+        else:
+            s = div(b, g)
+            num = combine(mul(a, div(d, g)), mul(c, s))
+            g = ring.gcd(num, g)
+            if g != ring.one:
+                num, d = div(num, g), div(d, g)
+            den = mul(s, d)
+        return FieldElement._trusted(self.spec, num, den)
+
+    def _product(self, c, d) -> "FieldElement":
+        # a/b * c/d, both nonzero and coprime: only a, d and c, b can share factors
+        ring = self.spec.backend
+        one, gcd, div, mul = ring.one, ring.gcd, ring.div, ring.mul
+        a, b = self.num, self.den
+        g = gcd(a, d)
+        if g != one:
+            a, d = div(a, g), div(d, g)
+        g = gcd(c, b)
+        if g != one:
+            c, b = div(c, g), div(b, g)
+        num, den = ring.normalize(mul(a, c), mul(b, d))
+        return FieldElement._trusted(self.spec, num, den)
 
     def __add__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self._cross(other, self.spec.backend.add)
+        return self._sum(other, self.spec.backend.add)
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self._cross(other, self.spec.backend.sub)
+        return self._sum(other, self.spec.backend.sub)
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        mul = self.spec.backend.mul
-        return FieldElement(self.spec, mul(self.num, other.num), mul(self.den, other.den))
+        if not self.num or not other.num:
+            return other if self.num else self
+        return self._product(other.num, other.den)
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -699,16 +777,27 @@ class FieldElement(_Frozen):
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero element")
-        mul = self.spec.backend.mul
-        return FieldElement(self.spec, mul(self.num, other.den), mul(self.den, other.num))
+        if not self.num:
+            return self
+        return self._product(other.den, other.num)
 
     def __neg__(self):
-        return FieldElement(self.spec, self.spec.backend.neg(self.num), self.den)
+        return FieldElement._trusted(self.spec, self.spec.backend.neg(self.num), self.den)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero element")
-        return FieldElement(self.spec, self.den, self.num)
+        num, den = self.spec.backend.normalize(self.den, self.num)
+        return FieldElement._trusted(self.spec, num, den)
+
+    def shift(self, n: int) -> "FieldElement":
+        """pi^n * self, for |n| <= MAX_EXPONENT, with no gcd: only powers of pi cancel."""
+        if abs(n) > MAX_EXPONENT:
+            raise DomainError(f"uniformizer exponent {n} exceeds the bound {MAX_EXPONENT}")
+        if not n or not self.num:
+            return self
+        num, den = self.spec.backend.shift(self.num, self.den, n)
+        return FieldElement._trusted(self.spec, num, den)
 
     def __pow__(self, n: int) -> "FieldElement":
         if not isinstance(n, int):
@@ -730,13 +819,7 @@ class FieldElement(_Frozen):
 
 def pi_power(spec: FieldSpec, n: int) -> FieldElement:
     """The n-th power of the uniformizer (p or t), for |n| <= MAX_EXPONENT."""
-    if abs(n) > MAX_EXPONENT:
-        raise DomainError(f"uniformizer exponent {n} exceeds the bound {MAX_EXPONENT}")
-    ring = spec.backend
-    power = ring.pi_power(abs(n))
-    if n >= 0:
-        return FieldElement(spec, power, ring.one)
-    return FieldElement(spec, ring.one, power)
+    return FieldElement.one(spec).shift(n)
 
 
 def field_arith(op: str, a: FieldElement, b: "FieldElement | None" = None) -> FieldElement:

@@ -26,7 +26,6 @@ from .elements import (
     format_element,
     parse_element,
     parse_int,
-    pi_power,
 )
 from .valuation import ResidueElem, ValuationSpec
 
@@ -154,7 +153,7 @@ def leading_matrix(f: FilteredMap) -> tuple:
         for j, a in enumerate(row):
             d = f.source.shifts[j] - t_i
             if not a.is_zero and spec.valuation(a) == d:
-                out_row.append(spec.residue(a / spec.uniformizer_power(d)))
+                out_row.append(spec.residue(a.shift(-d)))
             else:
                 out_row.append(zero)
         out.append(tuple(out_row))
@@ -255,7 +254,7 @@ def snf(spec: ValuationSpec, matrix: Sequence[Sequence[FieldElement]]) -> SnfRes
                 row[k], row[pi_col] = row[pi_col], row[k]
             for row in v:
                 row[k], row[pi_col] = row[pi_col], row[k]
-        unit = d[k][k] / spec.uniformizer_power(best)
+        unit = d[k][k].shift(-best)
         if unit != one:
             scale = unit.inverse()
             d[k] = [scale * a for a in d[k]]
@@ -387,8 +386,7 @@ def random_matrix(
             if rng.random() < 0.15:
                 row.append(zero)
             else:
-                v = rng.randint(0, max_entry_valuation)
-                row.append(pi_power(spec.field, v) * sampling.random_unit(spec.field, rng))
+                row.append(sampling.random_nonzero_element(spec.field, rng, 0, max_entry_valuation))
         out.append(tuple(row))
     return tuple(out)
 
@@ -418,8 +416,8 @@ def random_filtered_map(
             if rng.random() < 0.15:
                 row.append(zero)
             else:
-                v = rng.randint(lb, max(lb, max_entry_valuation))
-                row.append(pi_power(spec.field, v) * sampling.random_unit(spec.field, rng))
+                hi = max(lb, max_entry_valuation)
+                row.append(sampling.random_nonzero_element(spec.field, rng, lb, hi))
         rows.append(tuple(row))
     return FilteredMap(src, tgt, tuple(rows))
 
@@ -436,10 +434,7 @@ def random_module_element(
                 coords.append(FieldElement.zero(field))
             else:
                 lb = max(0, -s)
-                coords.append(
-                    pi_power(field, rng.randint(lb, lb + 5))
-                    * sampling.random_unit(field, rng)
-                )
+                coords.append(sampling.random_nonzero_element(field, rng, lb, lb + 5))
         if any(not c.is_zero for c in coords):
             return tuple(coords)
 

@@ -91,7 +91,7 @@ def strong_split(
 ) -> "tuple[FieldElement, FieldElement]":
     """Split c in R_{n+m} as a * b with a in R_n, b in R_m, exactly.
 
-    The witness is canonical and deterministic: a = pi^n, b = c / pi^n;
+    The witness is canonical and deterministic: a = pi^n, b = pi^-n * c;
     any pair satisfying the postcondition would do.
     """
     if c.is_zero:
@@ -102,8 +102,7 @@ def strong_split(
         raise DomainError(
             f"{format_element(c)} has valuation {spec.valuation(c)} < {n + m}"
         )
-    a = spec.uniformizer_power(n)
-    return a, c / a
+    return spec.uniformizer_power(n), c.shift(-n)
 
 
 def adic_vs_valuation(spec: ValuationSpec, n: int, seed: int, samples: int) -> CheckReport:

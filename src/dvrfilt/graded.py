@@ -111,7 +111,7 @@ def symbol(spec: ValuationSpec, x: FieldElement) -> GradedElement:
     v = spec.valuation(x).finite
     if v < 0:
         raise DomainError(f"element has negative valuation {v}")
-    coeff = spec.residue(x / spec.uniformizer_power(v))
+    coeff = spec.residue(x.shift(-v))
     return GradedElement.monomial(spec, v, coeff)
 
 

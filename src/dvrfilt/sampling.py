@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .elements import FieldElement, FieldSpec, pi_power
+from .elements import FieldElement, FieldSpec
 
 
 def random_unit(field: FieldSpec, rng: random.Random) -> FieldElement:
@@ -25,7 +25,8 @@ def random_unit(field: FieldSpec, rng: random.Random) -> FieldElement:
 def random_nonzero_element(
     field: FieldSpec, rng: random.Random, kmin: int = -6, kmax: int = 6
 ) -> FieldElement:
-    return pi_power(field, rng.randint(kmin, kmax)) * random_unit(field, rng)
+    k = rng.randint(kmin, kmax)  # drawn before the unit, as every seeded sample expects
+    return random_unit(field, rng).shift(k)
 
 
 def random_element(field: FieldSpec, rng: random.Random, kmin: int = -6, kmax: int = 6) -> FieldElement:
@@ -41,11 +42,11 @@ def random_ring_element(field: FieldSpec, rng: random.Random) -> FieldElement:
 
 def random_level_element(field: FieldSpec, rng: random.Random, n: int) -> FieldElement:
     """A random member of the level set {v >= n} (zero included occasionally)."""
-    return pi_power(field, n) * random_ring_element(field, rng)
+    return random_ring_element(field, rng).shift(n)
 
 
 def random_nonzero_level_element(field: FieldSpec, rng: random.Random, n: int) -> FieldElement:
-    return pi_power(field, n + rng.randint(0, 6)) * random_unit(field, rng)
+    return random_nonzero_element(field, rng, n, n + 6)
 
 
 def random_maximal_ideal_element(field: FieldSpec, rng: random.Random) -> FieldElement:

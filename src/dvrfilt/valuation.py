@@ -61,58 +61,36 @@ class ExtInt(_Frozen):
             raise DomainError("infinite valuation where an integer is required")
         return self.value
 
-    @staticmethod
-    def _coerce(other) -> "ExtInt | None":
-        if isinstance(other, ExtInt):
-            return other
-        if isinstance(other, int):
-            return ExtInt(other)
-        return None
-
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
+        o = _rank(other)
+        return NotImplemented if o is None else _rank(self) == o
 
     def __hash__(self) -> int:
         return hash(self.value)
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.value is None:
-            return False
-        if o.value is None:
-            return True
-        return self.value < o.value
+        o = _rank(other)
+        return NotImplemented if o is None else _rank(self) < o
 
     def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self == o or self < o
+        o = _rank(other)
+        return NotImplemented if o is None else _rank(self) <= o
 
     def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o < self
+        o = _rank(other)
+        return NotImplemented if o is None else _rank(self) > o
 
     def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o <= self
+        o = _rank(other)
+        return NotImplemented if o is None else _rank(self) >= o
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _rank(other)
         if o is None:
             return NotImplemented
-        if self.value is None or o.value is None:
+        if self.value is None or o is _INF:
             return INFINITY
-        return ExtInt(self.value + o.value)
+        return ExtInt(self.value + o)
 
     __radd__ = __add__
 
@@ -133,6 +111,14 @@ class ExtInt(_Frozen):
 
 
 INFINITY = ExtInt(None)
+_INF = float("inf")
+
+
+def _rank(x):
+    # ExtInt or int as a number ordered alike (inf compares exactly with ints), else None
+    if isinstance(x, ExtInt):
+        return _INF if x.value is None else x.value
+    return x if isinstance(x, int) else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,7 +225,7 @@ class ValuationSpec(_Frozen):
 
     def valuation(self, x: FieldElement) -> ExtInt:
         """v(x), with v(0) = infinity; exact order of the uniformizer in x."""
-        if x.spec != self.field:
+        if x.spec is not self.field and x.spec != self.field:
             raise DomainError("element does not belong to this field")
         if x.is_zero:
             return INFINITY

@@ -240,6 +240,8 @@ ERROR_ARGVS = [
     ["parse", "--field", "padic:561", "1"],
     ["val", "--field", "padic:3317044064679887385961981", "1"],
     ["parse", "--field", "padic:2"],
+    ["arith", "--field", "padic:101", "add", "--", "--"],
+    ["grmap", "compat", "--field", "padic:2", "--", "--"],
 ]
 
 

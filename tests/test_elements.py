@@ -244,6 +244,7 @@ def test_roundtrip_thousand_random_elements(field_str):
     assert parse_element(format_element(FieldElement.zero(spec)), spec).is_zero
 
 
+@pytest.mark.usefixtures("trusted_guard")
 @pytest.mark.parametrize("field_str", FIELD_STRINGS)
 def test_canonical_uniqueness_mul_div(field_str):
     spec = FieldSpec.from_string(field_str)
@@ -254,6 +255,7 @@ def test_canonical_uniqueness_mul_div(field_str):
         assert (a * b) / b == a
 
 
+@pytest.mark.usefixtures("trusted_guard")
 @pytest.mark.parametrize("field_str", FIELD_STRINGS)
 def test_field_axioms_on_random_triples(field_str):
     spec = FieldSpec.from_string(field_str)

@@ -62,6 +62,7 @@ def _matrices(spec, count, max_dim):
         yield a
 
 
+@pytest.mark.usefixtures("trusted_guard")
 @pytest.mark.parametrize(
     "field,count,max_dim",
     [
