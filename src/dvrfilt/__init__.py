@@ -76,7 +76,6 @@ _MODULES = {
         "FiltFn",
         "SpecPrime",
         "branched",
-        "f_value",
         "lemma32_report",
         "lower_member",
         "lower_member_literal",

@@ -53,15 +53,8 @@ def _emit(ns, pairs, code: int = 0):
     return code, "\n".join(f"{k}={_bool_text(v)}" for k, v in pairs) + "\n"
 
 
-def _emit_report(ns, report):
-    code = 0 if report.ok else 1
-    if ns.json:
-        return code, _json_line(report.to_flat_dict())
-    return code, report.render() + "\n"
-
-
-def _emit_status(ns, report):
-    code = 1 if (getattr(ns, "strict", False) and not report.all_pass) else 0
+def _emit_report(ns, report, failed: bool):
+    code = 1 if failed else 0
     if ns.json:
         return code, _json_line(report.to_flat_dict())
     return code, report.render() + "\n"
@@ -142,7 +135,7 @@ def _cmd_filt_check(ns):
     _require_seed(ns)
     samples = ns.samples if ns.samples is not None else 200
     report = check_filtration_axioms(_vspec(ns), ns.seed, samples, ns.max_level)
-    return _emit_report(ns, report)
+    return _emit_report(ns, report, not report.ok)
 
 
 def _cmd_strong_split(ns):
@@ -164,7 +157,7 @@ def _cmd_adic_check(ns):
     _require_seed(ns)
     samples = ns.samples if ns.samples is not None else 200
     report = adic_vs_valuation(_vspec(ns), ns.level, ns.seed, samples)
-    return _emit_report(ns, report)
+    return _emit_report(ns, report, not report.ok)
 
 
 def _cmd_ideal(ns):
@@ -304,7 +297,8 @@ def _cmd_specf(ns):
     if ns.op == "lemma32":
         _require_seed(ns)
         samples = ns.samples if ns.samples is not None else 200
-        return _emit_status(ns, lemma32_report(ff, ns.seed, samples))
+        report = lemma32_report(ff, ns.seed, samples)
+        return _emit_report(ns, report, ns.strict and not report.all_pass)
     if ns.op == "primes":
         return _emit(ns, [("spec", ",".join(p.value for p in spec_f(ff)))])
     if ns.op == "branched":
@@ -318,7 +312,8 @@ def _cmd_specf(ns):
         _require_seed(ns)
         samples = ns.samples if ns.samples is not None else 100
         x = parse_element(ns.args[0], spec.field)
-        return _emit_status(ns, prop36_check(ff, x, ns.seed, samples))
+        report = prop36_check(ff, x, ns.seed, samples)
+        return _emit_report(ns, report, ns.strict and not report.all_pass)
     raise CliUsageError(f"unknown specf operation {ns.op!r}")
 
 
@@ -328,7 +323,7 @@ def _cmd_axioms(ns):
     _require_seed(ns)
     samples = ns.samples if ns.samples is not None else 1000
     report = check_valuation_axioms(_vspec(ns), ns.seed, samples)
-    return _emit_report(ns, report)
+    return _emit_report(ns, report, not report.ok)
 
 
 _HANDLERS = {

@@ -557,6 +557,11 @@ class _Polynomials(_Backend):
         # a nonzero constant is a unit of k[t]
         if len(a) == 1 or len(b) == 1:
             return self.one
+        if a and b and not (a[0] and b[0]):
+            # t^i*a' and t^j*b' with a'(0), b'(0) nonzero share t^min(i, j) times
+            # gcd(a', b'); Euclid then spends no quotient steps on the t-powers
+            i, j = self.order(a), self.order(b)
+            return self._up(self.gcd(a[i:], b[j:]), min(i, j))
         return poly_gcd(a, b, self.p)
 
     def div(self, a: tuple, b: tuple) -> tuple:
@@ -791,7 +796,9 @@ class FieldElement(_Frozen):
         return FieldElement._trusted(self.spec, num, den)
 
     def shift(self, n: int) -> "FieldElement":
-        """pi^n * self, for |n| <= MAX_EXPONENT, with no gcd: only powers of pi cancel."""
+        """pi^n * self, for an int |n| <= MAX_EXPONENT, with no gcd: only powers of pi cancel."""
+        if type(n) is not int:
+            raise DomainError(f"uniformizer exponent must be an integer, got {n!r}")
         if abs(n) > MAX_EXPONENT:
             raise DomainError(f"uniformizer exponent {n} exceeds the bound {MAX_EXPONENT}")
         if not n or not self.num:

@@ -14,7 +14,7 @@ import random
 
 from . import sampling
 from .elements import DomainError, FieldElement, format_element
-from .reports import AxiomResult, CheckReport
+from .reports import CheckReport, _Tally
 from .valuation import ValuationSpec
 
 
@@ -38,52 +38,28 @@ def check_filtration_axioms(
         raise DomainError("samples must be >= 1")
     rng = random.Random(seed)
     field = spec.field
-
-    subset_pass = sum_pass = rmul_pass = 0
-    subset_ce = sum_ce = rmul_ce = None
-    per_level_total = (max_level + 1) * samples
+    subset, sums, rmul, prod = map(_Tally, ("subset", "sum-closure", "ring-multiple", "product"))
     for n in range(max_level + 1):
         for _ in range(samples):
             x = sampling.random_level_element(field, rng, n + 1)
-            if level_member(spec, x, n):
-                subset_pass += 1
-            elif subset_ce is None:
-                subset_ce = f"{format_element(x)} (level {n + 1})"
-
+            subset.check(level_member(spec, x, n), _at_levels, (x,), n + 1)
             a = sampling.random_level_element(field, rng, n)
             b = sampling.random_level_element(field, rng, n)
-            if level_member(spec, a + b, n):
-                sum_pass += 1
-            elif sum_ce is None:
-                sum_ce = f"{format_element(a)},{format_element(b)} (level {n})"
-
+            sums.check(level_member(spec, a + b, n), _at_levels, (a, b), n)
             r = sampling.random_ring_element(field, rng)
-            if level_member(spec, r * a, n):
-                rmul_pass += 1
-            elif rmul_ce is None:
-                rmul_ce = f"{format_element(r)},{format_element(a)} (level {n})"
-
-    prod_pass = 0
-    prod_ce = None
-    prod_total = (max_level + 1) * (max_level + 1) * samples
+            rmul.check(level_member(spec, r * a, n), _at_levels, (r, a), n)
     for n in range(max_level + 1):
         for m in range(max_level + 1):
             for _ in range(samples):
                 a = sampling.random_level_element(field, rng, n)
                 b = sampling.random_level_element(field, rng, m)
-                if level_member(spec, a * b, n + m):
-                    prod_pass += 1
-                elif prod_ce is None:
-                    prod_ce = f"{format_element(a)},{format_element(b)} (levels {n},{m})"
+                prod.check(level_member(spec, a * b, n + m), _at_levels, (a, b), n, m)
+    return CheckReport((subset.axiom(), sums.axiom(), rmul.axiom(), prod.axiom()))
 
-    return CheckReport(
-        (
-            AxiomResult("subset", subset_pass, per_level_total, subset_ce),
-            AxiomResult("sum-closure", sum_pass, per_level_total, sum_ce),
-            AxiomResult("ring-multiple", rmul_pass, per_level_total, rmul_ce),
-            AxiomResult("product", prod_pass, prod_total, prod_ce),
-        )
-    )
+
+def _at_levels(xs: tuple, *levels: int) -> str:
+    where = "level" if len(levels) == 1 else "levels"
+    return f"{','.join(map(format_element, xs))} ({where} {','.join(map(str, levels))})"
 
 
 def strong_split(
@@ -119,37 +95,24 @@ def adic_vs_valuation(spec: ValuationSpec, n: int, seed: int, samples: int) -> C
     rng = random.Random(seed)
     field = spec.field
     pin = spec.uniformizer_power(n)
-
-    prod_pass = 0
-    prod_ce = None
+    prod, wit = _Tally("power-product-in-level"), _Tally("pi-power-witness")
     for _ in range(samples):
         x = FieldElement.one(field)
         factors = []
         for _ in range(n):
             f = sampling.random_maximal_ideal_element(field, rng)
-            factors.append(format_element(f))
+            factors.append(f)
             x = x * f
-        if level_member(spec, x, n):
-            prod_pass += 1
-        elif prod_ce is None:
-            prod_ce = "*".join(factors)
-
-    wit_pass = 0
-    wit_ce = None
+        prod.check(level_member(spec, x, n), _product_text, factors)
     for _ in range(samples):
         x = sampling.random_level_element(field, rng, n)
         r = x / pin
-        if spec.valuation(r) >= 0 and pin * r == x:
-            wit_pass += 1
-        elif wit_ce is None:
-            wit_ce = format_element(x)
+        wit.check(spec.valuation(r) >= 0 and pin * r == x, format_element, x)
+    return CheckReport((prod.axiom(), wit.axiom()))
 
-    return CheckReport(
-        (
-            AxiomResult("power-product-in-level", prod_pass, samples, prod_ce),
-            AxiomResult("pi-power-witness", wit_pass, samples, wit_ce),
-        )
-    )
+
+def _product_text(factors: list) -> str:
+    return "*".join(map(format_element, factors))
 
 
 def principal_generator(spec: ValuationSpec, generators: "list[FieldElement]") -> int | None:
@@ -158,13 +121,9 @@ def principal_generator(spec: ValuationSpec, generators: "list[FieldElement]") -
     All generators must lie in R; the ideal they generate in a discrete
     valuation ring is (pi^e) with e the minimum of their valuations.
     """
-    best: int | None = None
     for g in generators:
-        v = spec.valuation(g)
-        if v.is_infinite:
-            continue
-        if v.finite < 0:
+        if spec.valuation(g) < 0:
             raise DomainError(f"generator {format_element(g)} lies outside the ring")
-        if best is None or v.finite < best:
-            best = v.finite
-    return best
+    from .ideals import ideal_from_generators
+
+    return ideal_from_generators(spec, generators).exponent

@@ -41,14 +41,6 @@ class GradedElement(_Frozen):
                 acc[degree] = coeff
         _set(self, "terms", tuple((d, c) for d, c in sorted(acc.items()) if not c.is_zero))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.spec == other.spec and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.terms))
-
     @classmethod
     def zero(cls, spec: ValuationSpec) -> "GradedElement":
         return cls(spec, ())
@@ -60,10 +52,6 @@ class GradedElement(_Frozen):
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.terms) <= 1
 
     def degree(self) -> int:
         """Top degree; undefined for the zero element."""

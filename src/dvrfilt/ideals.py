@@ -23,6 +23,8 @@ class FracIdeal(_Frozen):
     __slots__ = ("spec", "exponent")
 
     def __init__(self, spec: ValuationSpec, exponent: int | None) -> None:
+        if exponent is not None and type(exponent) is not int:
+            raise DomainError(f"ideal exponent must be an integer or None, got {exponent!r}")
         _set(self, "spec", spec)
         _set(self, "exponent", exponent)
 
@@ -37,10 +39,6 @@ class FracIdeal(_Frozen):
     @property
     def is_zero(self) -> bool:
         return self.exponent is None
-
-    @property
-    def is_integral(self) -> bool:
-        return self.is_zero or self.exponent >= 0
 
     def contains_element(self, x: FieldElement) -> bool:
         if self.is_zero:

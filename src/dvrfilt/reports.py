@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .elements import _Frozen, _set
+from .elements import _Frozen, _set, format_element
 
 PASS = "PASS"
 FAIL_LITERAL = "FAIL-LITERAL"
@@ -101,3 +101,37 @@ class StatusReport(_Frozen):
                 out[f"{c.clause}.witness"] = c.witness
         out["all_pass"] = self.all_pass
         return out
+
+
+class _Tally:
+    """Pass count, total and first counterexample of one sampled law or clause.
+
+    ``check(holds, witness, *case)`` counts one case; ``witness(*case)``
+    formats the case, and runs only for the first case that fails.
+    """
+
+    __slots__ = ("name", "passed", "failed", "first")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.passed = self.failed = 0
+        self.first = None
+
+    def check(self, holds: bool, witness, *case) -> None:
+        if holds:
+            self.passed += 1
+        else:
+            if self.first is None:
+                self.first = witness(*case)
+            self.failed += 1
+
+    def axiom(self) -> AxiomResult:
+        return AxiomResult(self.name, self.passed, self.passed + self.failed, self.first)
+
+    def clause(self, failures) -> ClauseStatus:
+        """The verdict of a literal clause.  ``failures`` yields the samples
+        that break it; only the first is drawn, and it is the witness."""
+        x = next(failures, None)
+        if x is not None:
+            self.check(False, format_element, x)
+        return ClauseStatus(self.name, PASS if self.first is None else FAIL_LITERAL, self.first)

@@ -23,12 +23,14 @@ definitions.
 
 from __future__ import annotations
 
+import operator
 import random
 from enum import Enum
+from itertools import accumulate, repeat
 
 from . import sampling
 from .elements import DomainError, FieldElement, _Frozen, _set, format_element
-from .reports import FAIL_LITERAL, PASS, ClauseStatus, StatusReport
+from .reports import StatusReport, _Tally
 from .valuation import ExtInt, ValuationSpec
 
 
@@ -59,10 +61,6 @@ class FiltFn(_Frozen):
         if not v.is_infinite and v.finite < 0:
             raise DomainError(f"{format_element(x)} lies outside the ring")
         return v
-
-
-def f_value(ff: FiltFn, x: FieldElement) -> ExtInt:
-    return ff.value(x)
 
 
 def upper_member(ff: FiltFn, x: FieldElement, g: int) -> bool:
@@ -141,85 +139,47 @@ def lemma32_report(ff: FiltFn, seed: int, samples: int) -> StatusReport:
     rng = random.Random(seed)
     xs = _stratified_ring_samples(ff, rng, samples)
     pi = ff.spec.uniformizer
-
-    # (i) lower(0) versus the radical of {f > 0}, the maximal ideal; the
-    # literal lower(0) is the unit group.
-    i_witness = None
-    for x in xs:
-        if lower_member(ff, x, 0) != (ff.value(x) >= 1):
-            i_witness = format_element(x)
-            break
-    clause_i = ClauseStatus(
-        "i", PASS if i_witness is None else FAIL_LITERAL, i_witness
-    )
-
-    # (ii) upper(infinity) = 0: in a domain no nonzero power reaches
-    # infinite value.
-    ii_witness = None
-    for x in xs:
-        if x.is_zero:
-            continue
-        power = x
-        for _ in range(4):
-            if ff.value(power).is_infinite:
-                ii_witness = format_element(x)
-                break
-            power = power * x
-        if ii_witness is not None:
-            break
-    clause_ii = ClauseStatus(
-        "ii", PASS if ii_witness is None else FAIL_LITERAL, ii_witness
-    )
-
-    # (iii) lower(g) inside upper(g) for g >= 1.
-    iii_witness = None
-    for x in xs:
-        for g in range(1, 11):
-            if lower_member(ff, x, g) and not upper_member(ff, x, g):
-                iii_witness = format_element(x)
-                break
-        if iii_witness is not None:
-            break
-    clause_iii = ClauseStatus(
-        "iii", PASS if iii_witness is None else FAIL_LITERAL, iii_witness
-    )
-
-    # (iv) upper half: g <= h implies upper(h) inside upper(g).
-    iv_upper_witness = None
-    for x in xs:
-        for g in range(1, 11):
-            for h in range(g, 11):
-                if upper_member(ff, x, h) and not upper_member(ff, x, g):
-                    iv_upper_witness = format_element(x)
-                    break
-            if iv_upper_witness is not None:
-                break
-        if iv_upper_witness is not None:
-            break
-    clause_iv_upper = ClauseStatus(
-        "iv-upper", PASS if iv_upper_witness is None else FAIL_LITERAL, iv_upper_witness
-    )
-
-    # (iv) lower half: g <= h implies lower(h) inside lower(g); fails
-    # whenever f(x) = h does not divide g (canonically x = pi^2, h = 2,
-    # g = 1).
-    iv_lower_witness = None
-    for x in [pi * pi] + xs:
-        for g in range(0, 11):
-            for h in range(g, 11):
-                if lower_member(ff, x, h) and not lower_member(ff, x, g):
-                    iv_lower_witness = format_element(x)
-                    break
-            if iv_lower_witness is not None:
-                break
-        if iv_lower_witness is not None:
-            break
-    clause_iv_lower = ClauseStatus(
-        "iv-lower", PASS if iv_lower_witness is None else FAIL_LITERAL, iv_lower_witness
-    )
-
+    levels = range(1, 11)
     return StatusReport(
-        (clause_i, clause_ii, clause_iii, clause_iv_upper, clause_iv_lower)
+        (
+            # (i) lower(0) versus the radical of {f > 0}, the maximal ideal;
+            # the literal lower(0) is the unit group.
+            _Tally("i").clause(x for x in xs if lower_member(ff, x, 0) != (ff.value(x) >= 1)),
+            # (ii) upper(infinity) = 0: in a domain no nonzero power reaches
+            # infinite value; checked on x, x^2, x^3, x^4.
+            _Tally("ii").clause(
+                x
+                for x in xs
+                if not x.is_zero
+                for power in accumulate(repeat(x, 4), operator.mul)
+                if ff.value(power).is_infinite
+            ),
+            # (iii) lower(g) inside upper(g) for g >= 1.
+            _Tally("iii").clause(
+                x
+                for x in xs
+                for g in levels
+                if lower_member(ff, x, g) and not upper_member(ff, x, g)
+            ),
+            # (iv) upper half: g <= h implies upper(h) inside upper(g).
+            _Tally("iv-upper").clause(
+                x
+                for x in xs
+                for g in levels
+                for h in range(g, 11)
+                if upper_member(ff, x, h) and not upper_member(ff, x, g)
+            ),
+            # (iv) lower half: g <= h implies lower(h) inside lower(g); fails
+            # whenever f(x) = h does not divide g (canonically x = pi^2,
+            # h = 2, g = 1).
+            _Tally("iv-lower").clause(
+                x
+                for x in [pi * pi] + xs
+                for g in range(0, 11)
+                for h in range(g, 11)
+                if lower_member(ff, x, h) and not lower_member(ff, x, g)
+            ),
+        )
     )
 
 
@@ -254,24 +214,15 @@ def prop36_check(ff: FiltFn, x: FieldElement, seed: int, samples: int = 100) -> 
     rng = random.Random(seed)
     xs = _stratified_ring_samples(ff, rng, samples)
 
-    first_witness = None
-    if not upper_member(ff, x, g):
-        first_witness = format_element(x)
-    else:
-        for y in xs:
-            if upper_member(ff, y, g) != (ff.value(y) >= 1):
-                first_witness = format_element(y)
-                break
-    first = ClauseStatus(
-        "first-half", PASS if first_witness is None else FAIL_LITERAL, first_witness
+    # f(x) >= 1 is enforced above, so x itself passes exactly when it lies in
+    # upper(f(x))
+    return StatusReport(
+        (
+            _Tally("first-half").clause(
+                y for y in [x] + xs if upper_member(ff, y, g) != (ff.value(y) >= 1)
+            ),
+            _Tally("second-half").clause(
+                y for y in [ff.spec.uniformizer] + xs if lower_member(ff, y, g) != y.is_zero
+            ),
+        )
     )
-
-    second_witness = None
-    for y in [ff.spec.uniformizer] + xs:
-        if lower_member(ff, y, g) != y.is_zero:
-            second_witness = format_element(y)
-            break
-    second = ClauseStatus(
-        "second-half", PASS if second_witness is None else FAIL_LITERAL, second_witness
-    )
-    return StatusReport((first, second))

@@ -35,7 +35,7 @@ from .elements import (
     is_prime,
     pi_power,
 )
-from .reports import AxiomResult, CheckReport
+from .reports import CheckReport, _Tally
 
 
 class ExtInt(_Frozen):
@@ -141,14 +141,6 @@ class ResidueElem(_Frozen):
         _set(self, "char", char)
         _set(self, "value", _cof(value, char))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.char == other.char and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.char, self.value))
-
     @property
     def is_zero(self) -> bool:
         return not self.value
@@ -200,14 +192,6 @@ class ValuationSpec(_Frozen):
     def __init__(self, field: FieldSpec) -> None:
         _set(self, "field", field)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.field == other.field
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field,))
-
     @classmethod
     def from_string(cls, text: str) -> "ValuationSpec":
         return cls(FieldSpec.from_string(text))
@@ -254,33 +238,20 @@ def check_valuation_axioms(spec: ValuationSpec, seed: int, samples: int) -> Chec
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = random.Random(seed)
-    mul_pass = ultra_pass = sharp_pass = sharp_total = 0
-    mul_ce = ultra_ce = sharp_ce = None
+    mul, ultra, sharp = _Tally("mul"), _Tally("ultrametric"), _Tally("ultrametric-sharp")
     for i in range(samples):
         a = sampling.random_nonzero_element(spec.field, rng)
         b = -a if i % 8 == 5 else sampling.random_nonzero_element(spec.field, rng)
         va = spec.valuation(a)
         vb = spec.valuation(b)
-        if spec.valuation(a * b) == va + vb:
-            mul_pass += 1
-        elif mul_ce is None:
-            mul_ce = f"{format_element(a)},{format_element(b)}"
+        mul.check(spec.valuation(a * b) == va + vb, _pair, a, b)
         lo = min(va, vb)
         vs = spec.valuation(a + b)
-        if vs >= lo:
-            ultra_pass += 1
-        elif ultra_ce is None:
-            ultra_ce = f"{format_element(a)},{format_element(b)}"
+        ultra.check(vs >= lo, _pair, a, b)
         if va != vb:
-            sharp_total += 1
-            if vs == lo:
-                sharp_pass += 1
-            elif sharp_ce is None:
-                sharp_ce = f"{format_element(a)},{format_element(b)}"
-    return CheckReport(
-        (
-            AxiomResult("mul", mul_pass, samples, mul_ce),
-            AxiomResult("ultrametric", ultra_pass, samples, ultra_ce),
-            AxiomResult("ultrametric-sharp", sharp_pass, sharp_total, sharp_ce),
-        )
-    )
+            sharp.check(vs == lo, _pair, a, b)
+    return CheckReport((mul.axiom(), ultra.axiom(), sharp.axiom()))
+
+
+def _pair(a: FieldElement, b: FieldElement) -> str:
+    return f"{format_element(a)},{format_element(b)}"

@@ -41,13 +41,7 @@ from dvrfilt import (
     upper_member_literal,
 )
 from dvrfilt.cli import dispatch
-from dvrfilt.filtered_modules import (
-    FilteredFreeModule,
-    random_filtered_map,
-    random_matrix,
-    random_module_element,
-    snf_diagonal_exponents,
-)
+from dvrfilt.filtered_modules import FilteredFreeModule
 from dvrfilt.graded import poly_to_gr
 from dvrfilt.sampling import (
     random_element,
@@ -57,6 +51,12 @@ from dvrfilt.sampling import (
     random_unit,
 )
 
+from instances import (
+    random_filtered_map,
+    random_matrix,
+    random_module_element,
+    snf_diagonal_exponents,
+)
 from oracles import residue_poly_add, residue_poly_mul
 
 FIELDS = ("padic:2", "padic:5", "tadic:3", "tadic:0")

@@ -295,6 +295,19 @@ def test_light_subcommands_load_only_what_they_run(argv):
     assert not loaded & {"dataclasses", "json", "dvrfilt.filtered_modules", "dvrfilt.spectrum"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("strong-split", "--field", "padic:2", "12", "1", "1"),
+        ("filt-check", "--field", "padic:2", "--seed", "1", "--samples", "2", "--max-level", "1"),
+        ("adic-check", "--field", "padic:2", "--level", "2", "--seed", "1", "--samples", "2"),
+    ],
+    ids=["strong-split", "filt-check", "adic-check"],
+)
+def test_filtration_subcommands_do_not_load_ideals(argv):
+    assert "dvrfilt.ideals" not in _loaded_by_dispatch(*argv)
+
+
 def test_snf_loads_the_module_layer():
     assert "dvrfilt.filtered_modules" in _loaded_by_dispatch("snf", "--field", "padic:2", "2,4;0,8")
 

@@ -40,7 +40,8 @@ def test_cli_output_is_byte_identical(case):
 
 def _matrices():
     from dvrfilt import ValuationSpec
-    from dvrfilt.filtered_modules import format_matrix, random_matrix
+    from dvrfilt.filtered_modules import format_matrix
+    from instances import random_matrix
 
     yield "padic:2", "2,4;0,8"
     yield "padic:2", "1,2;2,4"

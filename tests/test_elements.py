@@ -19,7 +19,7 @@ from dvrfilt import (
     parse_graded,
     pi_power,
 )
-from dvrfilt.elements import MAX_EXPONENT, PRIME_TEST_BOUND, is_prime
+from dvrfilt.elements import MAX_EXPONENT, PRIME_TEST_BOUND, is_prime, poly, poly_gcd, poly_mul
 from dvrfilt.sampling import random_nonzero_element
 
 from conftest import FIELD_STRINGS
@@ -359,3 +359,36 @@ def test_exponents_above_the_bound_are_rejected():
         for n in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1):
             with pytest.raises(DomainError):
                 pi_power(field, n)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", Fraction(1)])
+@pytest.mark.parametrize("field", [F2, T3], ids=str)
+def test_non_integer_uniformizer_exponents_are_rejected(field, bad):
+    with pytest.raises(DomainError):
+        pi_power(field, bad)
+    with pytest.raises(DomainError):
+        FieldElement.one(field).shift(bad)
+
+
+@pytest.mark.parametrize("field", ["tadic:2", "tadic:3", "tadic:0"])
+def test_ring_gcd_agrees_with_poly_gcd(field):
+    # zero, constants, pure t-powers, and products t^i * c * u that share the
+    # factor c and some power of t
+    spec = FieldSpec.from_string(field)
+    ring, p = spec.backend, spec.param
+    rng = random.Random(f"gcd:{field}")
+
+    def t_power(i):
+        return poly([0] * i + [1], p)
+
+    def unit():
+        return poly(ring._random_unit_poly(rng), p)
+
+    operands = [(), ring.one, poly([2], p) if p != 2 else ring.one, t_power(1), t_power(3)]
+    for _ in range(12):
+        c = unit()
+        for i in (0, 1, 4):
+            operands.append(poly_mul(poly_mul(t_power(i), c, p), unit(), p))
+    for a in operands:
+        for b in operands:
+            assert repr(ring.gcd(a, b)) == repr(poly_gcd(a, b, p))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dvrfilt import (
+    DomainError,
     FieldElement,
     FracIdeal,
     ValuationSpec,
@@ -176,3 +177,9 @@ def test_rendering_and_parsing():
 def test_mixed_spec_rejected():
     with pytest.raises(ValueError):
         ideal_product(FracIdeal(S2, 1), FracIdeal(S3, 1))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1"])
+def test_non_integer_exponent_rejected(bad):
+    with pytest.raises(DomainError):
+        FracIdeal(S2, bad)

@@ -16,9 +16,9 @@ import pytest
 from dvrfilt import DomainError, FieldElement, FieldSpec, ValuationSpec, det, mat_mul, pi_power, snf
 from dvrfilt import sampling
 from dvrfilt.elements import MAX_EXPONENT
-from dvrfilt.filtered_modules import random_matrix
 
 from conftest import GUARD_FIELDS
+from instances import random_matrix
 
 pytestmark = pytest.mark.usefixtures("trusted_guard")
 

@@ -7,6 +7,7 @@ import pytest
 
 from dvrfilt import (
     CompatibilityError,
+    DomainError,
     FieldElement,
     FilteredFreeModule,
     ValuationSpec,
@@ -20,15 +21,15 @@ from dvrfilt import (
     parse_element,
     snf,
 )
-from dvrfilt.filtered_modules import (
-    format_matrix,
-    parse_matrix,
+from dvrfilt.filtered_modules import format_matrix, parse_matrix
+from dvrfilt.sampling import random_ring_element
+
+from instances import (
     random_filtered_map,
     random_matrix,
     random_module_element,
     snf_diagonal_exponents,
 )
-from dvrfilt.sampling import random_ring_element
 
 S2 = ValuationSpec.from_string("padic:2")
 S3 = ValuationSpec.from_string("padic:3")
@@ -334,6 +335,12 @@ def test_escape_level_examples():
     m2 = _mod(S2, 0, 1)
     x2 = (FieldElement.zero(S2.field), parse_element("2", S2.field))
     assert escape_level(m2, x2) == 3
+
+
+@pytest.mark.parametrize("shifts", [("3",), (1.5,), (0, 2.0)])
+def test_module_rejects_non_integer_shifts(shifts):
+    with pytest.raises(DomainError):
+        FilteredFreeModule(S2, shifts)
 
 
 def test_escape_level_rejects_zero_vector():

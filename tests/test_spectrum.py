@@ -10,7 +10,6 @@ from dvrfilt import (
     SpecPrime,
     ValuationSpec,
     branched,
-    f_value,
     lemma32_report,
     level_member,
     lower_member,
@@ -52,14 +51,14 @@ def _strata_elements(spec, seed, max_v=10):
 
 
 def test_f_value_examples():
-    assert f_value(FF2, FieldElement.one(S2.field)) == 0
-    assert f_value(FF2, FieldElement.zero(S2.field)).is_infinite
-    assert f_value(FF2, parse_element("12", S2.field)) == 2
+    assert FF2.value(FieldElement.one(S2.field)) == 0
+    assert FF2.value(FieldElement.zero(S2.field)).is_infinite
+    assert FF2.value(parse_element("12", S2.field)) == 2
 
 
 def test_f_value_rejects_outside_ring():
     with pytest.raises(ValueError):
-        f_value(FF2, parse_element("1/2", S2.field))
+        FF2.value(parse_element("1/2", S2.field))
 
 
 def test_upper_member_examples():
@@ -113,7 +112,7 @@ def test_level_sets_tie_into_filtration():
     for _ in range(500):
         x = random_ring_element(S2.field, rng)
         for g in range(0, 11):
-            assert (f_value(FF2, x) >= g) == level_member(S2, x, g)
+            assert (FF2.value(x) >= g) == level_member(S2, x, g)
 
 
 def test_lemma32_statuses_exact():

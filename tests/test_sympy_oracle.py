@@ -23,7 +23,8 @@ from dvrfilt import (  # noqa: E402
     map_injective,
     snf,
 )
-from dvrfilt.filtered_modules import random_matrix  # noqa: E402
+
+from instances import random_matrix  # noqa: E402
 
 T = Symbol("t")
 
