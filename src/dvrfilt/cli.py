@@ -482,12 +482,11 @@ def dispatch(argv) -> "tuple[int, str]":
         return int(e.code or 0), ""
     try:
         return _HANDLERS[ns.command](ns)
-    except CliUsageError as e:
+    except (CliUsageError, ParseError, DomainError, ZeroDivisionError) as e:
         return 2, f"error: {e}\n"
-    except (ParseError, DomainError, ZeroDivisionError) as e:
-        return 2, f"error: {e}\n"
-    except (ValueError, IndexError) as e:
-        return 2, f"error: {e}\n"
+    except Exception as e:  # a fault in the program, not in its input
+        message = " ".join(str(e).splitlines())
+        return 2, f"error: internal {type(e).__name__}: {message}\n"
 
 
 def main(argv=None) -> int:

@@ -211,7 +211,7 @@ def _cof(value, p: int) -> Coeff:
             if value.denominator != 1:
                 raise DomainError(f"non-integer coefficient {value} over F_{p}")
             value = value.numerator
-        elif not isinstance(value, int):
+        else:
             raise DomainError(f"coefficient must be an int or a Fraction, got {value!r}")
     return value % p if p else Fraction(value)
 
@@ -444,11 +444,10 @@ class _Integers(_Backend):
     @staticmethod
     def canonical(num, den) -> "tuple[int, int]":
         if type(num) is not int or type(den) is not int:
-            if not (isinstance(num, int) and isinstance(den, int)):
-                raise DomainError(
-                    f"padic numerator and denominator must be integers, got {num!r}, {den!r}"
-                )
-            num, den = int(num), int(den)
+            # bool and other int subclasses are rejected, not coerced
+            raise DomainError(
+                f"padic numerator and denominator must be integers, got {num!r}, {den!r}"
+            )
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if num == 0:
@@ -664,15 +663,18 @@ class FieldElement(_Frozen):
     tadic: ``num``/``den`` are coprime coefficient tuples, ``den`` monic.
     The constructor canonicalizes whatever it is given and arithmetic builds
     canonical results (see the module docstring), so two equal elements
-    always have identical representations.
+    always have identical representations.  The last slot is None until
+    ``ValuationSpec.valuation`` computes v(x) and keeps it there; it takes
+    no part in equality, hash or repr, and nothing else reads or fills it.
     """
 
-    __slots__ = ("spec", "num", "den")
+    __slots__ = ("spec", "num", "den", "_v")
 
     def __init__(self, spec: FieldSpec, num, den) -> None:
         _set(self, "spec", spec)
         _set(self, "num", num)
         _set(self, "den", den)
+        _set(self, "_v", None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -687,6 +689,7 @@ class FieldElement(_Frozen):
         _set(x, "spec", spec)
         _set(x, "num", num)
         _set(x, "den", den)
+        _set(x, "_v", None)
         return x
 
     def __eq__(self, other):
@@ -696,6 +699,9 @@ class FieldElement(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.spec, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(spec={self.spec!r}, num={self.num!r}, den={self.den!r})"
 
     # -- constructors -------------------------------------------------
 

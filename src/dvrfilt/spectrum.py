@@ -98,11 +98,11 @@ def upper_member_literal(ff: FiltFn, x: FieldElement, g: int) -> bool:
         raise DomainError("upper membership needs g >= 1")
     ff.value(x)
     power = x
-    for _ in range(1, g + 1):
+    for _ in range(1, g):
         if ff.value(power) >= g:
             return True
         power = power * x
-    return False
+    return ff.value(power) >= g
 
 
 def lower_member_literal(ff: FiltFn, x: FieldElement, g: int) -> bool:
@@ -111,11 +111,11 @@ def lower_member_literal(ff: FiltFn, x: FieldElement, g: int) -> bool:
         raise DomainError("lower membership needs g >= 0")
     ff.value(x)
     power = x
-    for _ in range(1, max(g, 1) + 1):
+    for _ in range(1, max(g, 1)):
         if ff.value(power) == g:
             return True
         power = power * x
-    return False
+    return ff.value(power) == g
 
 
 def _stratified_ring_samples(ff: FiltFn, rng: random.Random, samples: int) -> list:

@@ -113,6 +113,11 @@ class ExtInt(_Frozen):
 INFINITY = ExtInt(None)
 _INF = float("inf")
 
+# Shared values for small |v|, so that the v(x) kept on each element costs a
+# pointer and no object of its own.
+_SHARED_BOUND = 256
+_SHARED = tuple(ExtInt(v) for v in range(-_SHARED_BOUND, _SHARED_BOUND + 1))
+
 
 def _rank(x):
     # ExtInt or int as a number ordered alike (inf compares exactly with ints), else None
@@ -208,12 +213,22 @@ class ValuationSpec(_Frozen):
         return ResidueElem(self.residue_char, 0)
 
     def valuation(self, x: FieldElement) -> ExtInt:
-        """v(x), with v(0) = infinity; exact order of the uniformizer in x."""
+        """v(x), with v(0) = infinity; exact order of the uniformizer in x.
+
+        It is computed from x's own num/den on the first call and kept on x
+        for later calls, never derived from the valuations of other elements.
+        """
         if x.spec is not self.field and x.spec != self.field:
             raise DomainError("element does not belong to this field")
-        if x.is_zero:
-            return INFINITY
-        return ExtInt(self.field.backend.valuation(x))
+        v = x._v
+        if v is None:
+            if x.is_zero:
+                v = INFINITY
+            else:
+                n = self.field.backend.valuation(x)
+                v = _SHARED[n + _SHARED_BOUND] if -_SHARED_BOUND <= n <= _SHARED_BOUND else ExtInt(n)
+            _set(x, "_v", v)
+        return v
 
     def uniformizer_power(self, n: int) -> FieldElement:
         return pi_power(self.field, n)

@@ -41,3 +41,30 @@ def trusted_guard(monkeypatch):
     monkeypatch.setattr(FieldElement, "_trusted", classmethod(checked))
     yield
     assert checked_count[0], "no trusted construction was checked"
+
+
+@pytest.fixture
+def valuation_guard(monkeypatch):
+    """Recompute every valuation from the element's own num/den and compare.
+
+    ``ValuationSpec.valuation`` keeps v(x) on x after its first call; under
+    this fixture each call's result, cache hit or not, is checked against a
+    fresh ``backend.valuation`` of x (``None`` standing for v(0) = infinity).
+    The test fails if no call was a cache hit.
+    """
+    from dvrfilt.valuation import ExtInt, ValuationSpec
+
+    valuation = ValuationSpec.valuation
+    hits = [0]
+
+    def checked(self, x):
+        cached = getattr(x, "_v", None) is not None
+        v = valuation(self, x)
+        fresh = None if x.is_zero else self.field.backend.valuation(x)
+        assert type(v) is ExtInt and v.value == fresh, f"{self.field}: {x!r} valued {v!r}"
+        hits[0] += cached
+        return v
+
+    monkeypatch.setattr(ValuationSpec, "valuation", checked)
+    yield
+    assert hits[0], "no valuation call was a cache hit"

@@ -199,6 +199,26 @@ def test_exit_code_two_on_bad_input(argv):
     code, out = run(*argv)
     assert code == 2
     assert out.startswith("error:") and out.count("\n") == 1
+    assert not out.startswith("error: internal")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ValueError("bad\nstate"), KeyError("key"), RecursionError("too deep")],
+    ids=["ValueError", "KeyError", "RecursionError"],
+)
+def test_internal_errors_are_not_reported_as_bad_input(error, monkeypatch, capsys):
+    from dvrfilt import cli
+
+    def broken(ns):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "val", broken)
+    assert cli.main(["val", "--field", "padic:2", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: internal {type(error).__name__}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

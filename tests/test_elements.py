@@ -1,6 +1,7 @@
 """Element representation, parsing, formatting, and field arithmetic."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -179,8 +180,36 @@ def test_padic_element_rejects_non_integer_parts(bad):
         FieldElement(F2, 1, bad)
 
 
-def test_padic_element_accepts_int_subclasses():
-    assert FieldElement(F2, True, 2) == FieldElement(F2, 1, 2)
+class _Small(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+# bool and IntEnum are int subclasses; like exponents and shifts, element
+# parts must be plain ints, with no silent coercion
+INT_SUBCLASS_VALUES = (True, False, _Small.ONE, _Small.TWO)
+
+
+def test_padic_element_rejects_int_subclasses():
+    for bad in INT_SUBCLASS_VALUES:
+        with pytest.raises(DomainError):
+            FieldElement(F2, bad, 3)
+        with pytest.raises(DomainError):
+            FieldElement(F2, 1, bad)
+        with pytest.raises(DomainError):
+            FieldElement.from_int(F2, bad)
+    assert FieldElement(F2, 1, 2) == parse_element("1/2", F2)
+
+
+@pytest.mark.parametrize("field", [T3, T0], ids=["tadic:3", "tadic:0"])
+def test_tadic_element_rejects_int_subclass_coefficients(field):
+    for bad in INT_SUBCLASS_VALUES:
+        with pytest.raises(DomainError):
+            FieldElement(field, (bad,), (1,))
+        with pytest.raises(DomainError):
+            FieldElement(field, (1,), (2, bad))
+        with pytest.raises(DomainError):
+            FieldElement.from_int(field, bad)
 
 
 def test_arith_inverse_pair():

@@ -2,9 +2,10 @@
 
 Every test here runs under the ``trusted_guard`` fixture, which re-runs the
 backend's canonicalization on each result that arithmetic stores without
-it.  The oracles are the canonicalizing constructor applied to the
-schoolbook cross products and to pi^n, and Laplace expansion for
-determinants.
+it; the tests that take valuations also run under ``valuation_guard``,
+which recomputes each one from the element's own num/den.  The oracles are
+the canonicalizing constructor applied to the schoolbook cross products
+and to pi^n, and Laplace expansion for determinants.
 """
 
 import itertools
@@ -90,9 +91,11 @@ def test_henrici_arithmetic_matches_full_canonicalization(field):
         assert all(_coefficient_types_hold(y) for y in (a + b, a - b, a * b))
 
 
+@pytest.mark.usefixtures("valuation_guard")
 @pytest.mark.parametrize("field", GUARD_FIELDS)
 def test_field_axioms_in_lowest_terms(field):
     spec = FieldSpec.from_string(field)
+    v = ValuationSpec(spec).valuation
     rng = random.Random(f"axioms:{field}")
     one, zero = FieldElement.one(spec), FieldElement.zero(spec)
     for _ in range(150):
@@ -101,10 +104,16 @@ def test_field_axioms_in_lowest_terms(field):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == zero and a + (-a) == zero
+        # each of a and b is valued again in every law: later calls hit the cache
+        assert v(a * b) == v(a) + v(b)
+        assert v(a + b) >= min(v(a), v(b))
+        assert v(-a) == v(a)
         if a:
             assert a * a.inverse() == one
             assert (b * a) / a == b
             assert a ** 3 / a ** -2 == a * a * a * a * a
+            assert v(a.inverse()) + v(a) == 0
+            assert v(a.shift(3)) == v(a) + 3
 
 
 @pytest.mark.parametrize("field", GUARD_FIELDS)
@@ -146,6 +155,7 @@ def _laplace(spec, a):
     return total
 
 
+@pytest.mark.usefixtures("valuation_guard")
 @pytest.mark.parametrize("field", GUARD_FIELDS)
 def test_snf_and_det_in_lowest_terms(field):
     spec = ValuationSpec.from_string(field)

@@ -243,7 +243,7 @@ RANDOM_MATRIX_CASES = [
 ]
 
 
-@pytest.mark.usefixtures("trusted_guard")
+@pytest.mark.usefixtures("trusted_guard", "valuation_guard")
 @pytest.mark.parametrize("spec,count,max_dim,max_val", RANDOM_MATRIX_CASES)
 def test_snf_properties_random(spec, count, max_dim, max_val):
     rng = random.Random(99)

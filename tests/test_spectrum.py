@@ -30,6 +30,10 @@ S2 = ValuationSpec.from_string("padic:2")
 ST3 = ValuationSpec.from_string("tadic:3")
 FF2 = FiltFn(S2)
 FFT3 = FiltFn(ST3)
+FF101 = FiltFn(ValuationSpec.from_string("padic:101"))
+FFT0 = FiltFn(ValuationSpec.from_string("tadic:0"))
+FOUR_FIELDS = [FF2, FF101, FFT3, FFT0]
+FOUR_IDS = ["padic:2", "padic:101", "tadic:3", "tadic:0"]
 
 EXPECTED_LEMMA32 = {
     "i": "FAIL-LITERAL",
@@ -89,7 +93,8 @@ def test_lower_member_examples():
         lower_member(FF2, x8, -1)
 
 
-@pytest.mark.parametrize("ff", [FF2, FFT3], ids=["padic:2", "tadic:3"])
+@pytest.mark.usefixtures("valuation_guard")
+@pytest.mark.parametrize("ff", FOUR_FIELDS, ids=FOUR_IDS)
 def test_closed_forms_match_literal_enumeration_exhaustively(ff):
     spec = ff.spec
     for x in _strata_elements(spec, seed=3):
@@ -104,6 +109,29 @@ def test_closed_forms_match_literal_enumeration_exhaustively(ff):
         want_zero = (not x.is_zero) and fx.finite == 0
         assert lower_member(ff, x, 0) == want_zero
         assert lower_member_literal(ff, x, 0) == want_zero
+
+
+@pytest.mark.parametrize("ff", FOUR_FIELDS, ids=FOUR_IDS)
+def test_literal_members_multiply_only_before_a_further_check(ff, monkeypatch):
+    # a unit is in no upper(g) and in no lower(g) for g >= 1, so the literal
+    # routes check every n in [1, max(g, 1)] and need x^1 .. x^max(g, 1)
+    products = [0]
+    mul = FieldElement.__mul__
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    unit = FieldElement.one(ff.spec.field)
+    for g in range(11):
+        if g:
+            products[0] = 0
+            assert not upper_member_literal(ff, unit, g)
+            assert products[0] == g - 1
+        products[0] = 0
+        assert lower_member_literal(ff, unit, g) == (g == 0)
+        assert products[0] == max(g, 1) - 1
 
 
 def test_level_sets_tie_into_filtration():

@@ -1,6 +1,7 @@
 """Valuation, uniformizer, residue field, and the axiom checker."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from dvrfilt import (
 )
 from dvrfilt.sampling import random_ring_element
 
-from conftest import FIELD_STRINGS
+from conftest import FIELD_STRINGS, GUARD_FIELDS
 
 S2 = ValuationSpec.from_string("padic:2")
 S3 = ValuationSpec.from_string("padic:3")
@@ -213,8 +214,10 @@ def test_multiplicativity_on_ring_pairs():
 
 @pytest.mark.parametrize(
     "char, bad",
-    [(3, 1.7), (3, Fraction(1, 2)), (3, "1"), (0, 1.5), (0, None)],
-    ids=["float-mod-3", "fraction-mod-3", "str-mod-3", "float-over-Q", "none-over-Q"],
+    [(3, 1.7), (3, Fraction(1, 2)), (3, "1"), (0, 1.5), (0, None), (3, True), (0, False),
+     (3, IntEnum("Small", [("ONE", 1)]).ONE)],
+    ids=["float-mod-3", "fraction-mod-3", "str-mod-3", "float-over-Q", "none-over-Q",
+         "bool-mod-3", "bool-over-Q", "intenum-mod-3"],
 )
 def test_residue_elem_rejects_non_coefficients(char, bad):
     with pytest.raises(DomainError):
@@ -233,3 +236,67 @@ def test_residue_elem_canonical_values():
     assert ResidueElem(0, 3).value == Fraction(3)
     assert (ResidueElem(5, 2) / ResidueElem(5, 3)).value == 4
     assert (ResidueElem(0, Fraction(1, 2)) / ResidueElem(0, 3)).value == Fraction(1, 6)
+
+
+# -- v(x) is kept on the element after its first computation
+
+def _valued_texts(spec):
+    # pi^2 and pi^-1 times a unit, as element text
+    unit = parse_element("3/5" if spec.field.kind == "padic" else "(1+t)/(1+2*t)", spec.field)
+    return tuple(format_element(spec.uniformizer_power(n) * unit) for n in (2, -1))
+
+
+@pytest.mark.parametrize("field", GUARD_FIELDS)
+def test_valuation_cache_is_invisible(field):
+    spec = ValuationSpec.from_string(field)
+    for text in (*_valued_texts(spec), "0"):
+        valued, fresh = parse_element(text, spec.field), parse_element(text, spec.field)
+        before = repr(valued)
+        v = spec.valuation(valued)
+        assert spec.valuation(valued) is v
+        assert valued == fresh and hash(valued) == hash(fresh)
+        assert repr(valued) == repr(fresh) == before
+        assert "_v" not in repr(valued) and spec.valuation(fresh) == v
+        for x in (valued, parse_element(text, spec.field)):
+            with pytest.raises(AttributeError):
+                x._v = ExtInt(5)
+            with pytest.raises(AttributeError):
+                del x._v
+        assert spec.valuation(valued) is v
+
+
+@pytest.mark.parametrize("field", GUARD_FIELDS)
+def test_valuation_is_never_derived_from_operands(field):
+    # arithmetic on valued operands leaves its results unvalued; each
+    # result's v(x) is computed from its own num/den when first asked for
+    spec = ValuationSpec.from_string(field)
+    a, b = (parse_element(t, spec.field) for t in _valued_texts(spec))
+    va, vb = spec.valuation(a), spec.valuation(b)
+    results = (a + b, a - b, a * b, a / b, -a, a.inverse(), a.shift(3), a ** 2, a ** -1)
+    assert all(y._v is None for y in results)
+    assert [spec.valuation(y) for y in results] == [-1, -1, 1, 3, 2, -2, 5, 4, -2]
+    assert (va, vb) == (2, -1)
+
+
+@pytest.mark.parametrize("field", GUARD_FIELDS)
+def test_cached_valuation_still_checks_the_field(field):
+    spec = ValuationSpec.from_string(field)
+    other = ValuationSpec.from_string("tadic:2" if field.startswith("padic") else "padic:3")
+    x = parse_element(_valued_texts(spec)[0], spec.field)
+    assert spec.valuation(x) == 2
+    with pytest.raises(DomainError):
+        other.valuation(x)
+    # an equal but distinct field spec values the same element
+    assert ValuationSpec.from_string(field).valuation(x) == 2
+
+
+@pytest.mark.parametrize("field", GUARD_FIELDS)
+def test_valuations_past_the_shared_values(field):
+    # small values come from a shared table; the ends of its range and the
+    # values past them are exact
+    spec = ValuationSpec.from_string(field)
+    for n in (-258, -257, -256, -255, -1, 0, 1, 255, 256, 257, 258, 1000):
+        x = spec.uniformizer_power(n)
+        assert spec.valuation(x) == n and spec.valuation(x).value == n
+        assert spec.valuation(spec.uniformizer_power(n)) == spec.valuation(x)
+    assert spec.valuation(spec.uniformizer_power(3)) is spec.valuation(spec.uniformizer_power(3))
