@@ -12,21 +12,16 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 # Each handler imports the library names it uses, so a process loads only
 # the modules of its subcommand; json is imported for --json output only.
-from .elements import DomainError, FieldSpec, ParseError
+from .elements import DomainError, FieldSpec, ParseError, parse_int
 
 
 class CliUsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliUsageError(message)
 
 
 def _vspec(ns):
@@ -287,6 +282,8 @@ def _cmd_specf(ns):
 
     spec = _vspec(ns)
     ff = FiltFn(spec)
+    if ns.op in ("lemma32", "primes") and ns.args:
+        raise CliUsageError(f"specf {ns.op} takes no positional arguments")
     if ns.op in ("upper", "lower"):
         if len(ns.args) != 2:
             raise CliUsageError(f"specf {ns.op} takes an element and a level")
@@ -345,142 +342,142 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="dvrfilt", description="exact arithmetic in discrete valuation rings")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--field", required=True, help="padic:<p>, tadic:<p> or tadic:0")
-        p.add_argument("--json", action="store_true", help="emit one flat JSON object")
-        return p
-
-    p = add("parse", help="canonicalize an element")
-    p.add_argument("element")
-
-    p = add("arith", help="field arithmetic")
-    p.add_argument("op", choices=["add", "sub", "mul", "div", "neg", "inv"])
-    p.add_argument("a")
-    p.add_argument("b", nargs="?")
-
-    p = add("pipow", help="power of the uniformizer")
-    p.add_argument("n", type=int)
-
-    p = add("val", help="valuation of an element")
-    p.add_argument("element")
-
-    p = add("residue", help="image in the residue field")
-    p.add_argument("element")
-
-    p = add("symbol", help="leading form in the graded ring")
-    p.add_argument("element")
-
-    p = add("grmul", help="graded-ring arithmetic on T-polynomials")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--op", choices=["mul", "add"], default="mul")
-
-    p = add("filt-check", help="sampled filtration axioms")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--max-level", type=int, default=10)
-
-    p = add("strong-split", help="split c in R_{n+m} as a * b")
-    p.add_argument("element")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-
-    p = add("adic-check", help="sampled m^n = R_n comparison")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-
-    p = add("ideal", help="fractional ideal operations")
-    p.add_argument("op", choices=["gen", "pgen", "prod", "sum", "cap", "inv", "power", "denom"])
-    p.add_argument("args", nargs="+")
-
-    p = add("snf", help="Smith normal form U*A*V = D")
-    p.add_argument("matrix")
-
-    p = add("grmap", help="filtered map analysis")
-    p.add_argument("op", choices=["compat", "leading", "gr-injective", "injective", "escape"])
-    p.add_argument("operand", help="matrix (rows ';', entries ','), or vector for escape")
-    p.add_argument("--shifts-src")
-    p.add_argument("--shifts-dst")
-
-    p = add("specf", help="semigroup-filtration ideal spectrum")
-    p.add_argument("op", choices=["upper", "lower", "lemma32", "branched", "prop36", "primes"])
-    p.add_argument("args", nargs="*")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--strict", action="store_true")
-
-    p = add("axioms", help="sampled valuation axioms")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-
-    return parser
-
-
-_VALUE_FLAGS = {
-    "--field",
-    "--seed",
-    "--samples",
-    "--max-level",
-    "--level",
-    "--op",
-    "--shifts-src",
-    "--shifts-dst",
+# Each subcommand's arguments, declared once: (what it does, positionals,
+# flags).  A positional is (name, kind, arity) with arity "" (exactly one),
+# "?", "+" or "*"; a flag is (name, kind, default, required).  A kind is str,
+# int, bool (a flag that takes no value) or a tuple of choices.  Every
+# subcommand also takes --field (required) and --json.
+_COMMON = [("--field", str, None, True), ("--json", bool, False, False)]
+_SAMPLE = [("--seed", int, None, False), ("--samples", int, None, False)]
+_ELEMENT = [("element", str, "")]
+_COMMANDS = {
+    "parse": ("canonicalize an element", _ELEMENT, []),
+    "arith": (
+        "field arithmetic",
+        [("op", ("add", "sub", "mul", "div", "neg", "inv"), ""), ("a", str, ""), ("b", str, "?")],
+        [],
+    ),
+    "pipow": ("power of the uniformizer", [("n", int, "")], []),
+    "val": ("valuation of an element", _ELEMENT, []),
+    "residue": ("image in the residue field", _ELEMENT, []),
+    "symbol": ("leading form in the graded ring", _ELEMENT, []),
+    "grmul": (
+        "graded-ring arithmetic on T-polynomials",
+        [("u", str, ""), ("v", str, "")],
+        [("--op", ("mul", "add"), "mul", False)],
+    ),
+    "filt-check": ("sampled filtration axioms", [], _SAMPLE + [("--max-level", int, 10, False)]),
+    "strong-split": ("split c in R_{n+m} as a * b", _ELEMENT + [("n", int, ""), ("m", int, "")], []),
+    "adic-check": ("sampled m^n = R_n comparison", [], [("--level", int, None, True)] + _SAMPLE),
+    "ideal": (
+        "fractional ideal operations",
+        [("op", ("gen", "pgen", "prod", "sum", "cap", "inv", "power", "denom"), ""), ("args", str, "+")],
+        [],
+    ),
+    "snf": ("Smith normal form U*A*V = D", [("matrix", str, "")], []),
+    "grmap": (
+        "filtered map analysis; operand: matrix (rows ';', entries ','), or vector for escape",
+        [("op", ("compat", "leading", "gr-injective", "injective", "escape"), ""), ("operand", str, "")],
+        [("--shifts-src", str, None, False), ("--shifts-dst", str, None, False)],
+    ),
+    "specf": (
+        "semigroup-filtration ideal spectrum",
+        [("op", ("upper", "lower", "lemma32", "branched", "prop36", "primes"), ""), ("args", str, "*")],
+        _SAMPLE + [("--strict", bool, False, False)],
+    ),
+    "axioms": ("sampled valuation axioms", [], _SAMPLE),
 }
 
 
-def _normalize_argv(argv) -> list:
-    # Stable-partition into subcommand, flags, '--', positionals.  This works
-    # around argparse consuming a split nargs='*' positional as zero-width,
-    # and lets element arguments with a leading '-' parse without a manual
-    # '--' separator.  argparse drops '--' tokens from positionals, so a
-    # repeated '--' can carry no value and is rejected.
-    argv = list(argv)
-    if not argv or argv[0].startswith("-"):
-        return argv
-    flags: list = []
-    positionals: list = []
-    rest = argv[1:]
-    i = 0
-    literal = False
-    while i < len(rest):
-        tok = rest[i]
-        if literal:
-            if tok == "--":
-                raise CliUsageError("'--' may be given only once")
-            positionals.append(tok)
-        elif tok == "--":
-            literal = True
-        elif tok.startswith("--") or tok == "-h":
-            name = tok.split("=", 1)[0]
-            flags.append(tok)
-            if "=" not in tok and name in _VALUE_FLAGS and i + 1 < len(rest):
-                i += 1
-                flags.append(rest[i])
-        else:
-            positionals.append(tok)
-        i += 1
-    out = [argv[0]] + flags
-    if positionals:
-        out += ["--"] + positionals
+def _value(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return parse_int(text, name)
+        except ParseError:
+            raise CliUsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if isinstance(kind, tuple) and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise CliUsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _metavar(name: str, kind) -> str:
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name
+
+
+_ARITY = {"": "{}", "?": "[{}]", "+": "{} [...]", "*": "[{} ...]"}
+
+
+def _usage() -> str:
+    out = "usage: dvrfilt COMMAND --field {padic:<p>,tadic:<p>,tadic:0} [--json] ARGUMENTS\n"
+    for command, (what, positionals, flags) in _COMMANDS.items():
+        words = [command] + [_ARITY[arity].format(_metavar(n, kind)) for n, kind, arity in positionals]
+        for name, kind, _, required in flags:
+            word = name if kind is bool else f"{name} {_metavar(name[2:].upper(), kind)}"
+            words.append(word if required else f"[{word}]")
+        out += f"  {' '.join(words)}  -- {what}\n"
     return out
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    if not argv:
+        raise CliUsageError("the following arguments are required: command")
+    command = _value("command", tuple(_COMMANDS), argv[0])
+    _, positionals, flags = _COMMANDS[command]
+    flags = {flag[0]: flag for flag in _COMMON + flags}
+    values = {name: default for name, _, default, _ in flags.values()}
+    tokens, unknown = [], []
+    rest = iter(argv[1:])
+    for token in rest:
+        name, eq, text = token.partition("=")
+        if token == "--":
+            for token in rest:
+                if token == "--":
+                    raise CliUsageError("'--' may be given only once")
+                tokens.append(token)
+        elif not token.startswith("--"):
+            tokens.append(token)  # a single leading '-' is a sign: pipow -2
+        elif name not in flags:
+            unknown.append(token)
+        elif flags[name][1] is bool:
+            if eq:
+                raise CliUsageError(f"argument {name}: ignored explicit argument {text!r}")
+            values[name] = True
+        else:
+            if not eq:
+                text = next(rest, "--")
+                if text.startswith("--"):
+                    raise CliUsageError(f"argument {name}: expected one argument")
+            values[name] = _value(name, flags[name][1], text)
+    missing = [name for name, *_, required in flags.values() if required and values[name] is None]
+    i = 0
+    for name, kind, arity in positionals:
+        if arity in ("+", "*"):
+            values[name], i = tokens[i:], len(tokens)
+            if arity == "+" and not values[name]:
+                missing.append(name)
+        elif i < len(tokens):
+            values[name], i = _value(name, kind, tokens[i]), i + 1
+        else:
+            values[name] = None
+            if arity != "?":
+                missing.append(name)
+    if missing:
+        raise CliUsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown or tokens[i:]:
+        raise CliUsageError(f"unrecognized arguments: {' '.join(unknown + tokens[i:])}")
+    ns = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, **ns)
 
 
 def dispatch(argv) -> "tuple[int, str]":
     """Route an argv list to the library; returns (exit code, output text)."""
-    parser = build_parser()
+    argv = list(argv)
+    options = argv[: argv.index("--")] if "--" in argv else argv
+    if "-h" in options or "--help" in options:
+        return 0, _usage()
     try:
-        ns = parser.parse_args(_normalize_argv(argv))
-    except CliUsageError as e:
-        return 2, f"error: {e}\n"
-    except SystemExit as e:  # --help prints directly and exits
-        return int(e.code or 0), ""
-    try:
+        ns = _parse(argv)
         return _HANDLERS[ns.command](ns)
     except (CliUsageError, ParseError, DomainError, ZeroDivisionError) as e:
         return 2, f"error: {e}\n"

@@ -189,7 +189,7 @@ class FieldSpec(_Frozen):
 
     @classmethod
     def from_string(cls, text: str) -> "FieldSpec":
-        m = re.fullmatch(r"(padic|tadic):(\d+)", text.strip())
+        m = re.fullmatch(r"(padic|tadic):([0-9]+)", text.strip())
         if m is None:
             raise ParseError(
                 f"malformed field spec {text!r}; expected padic:<p>, tadic:<p> or tadic:0"
@@ -472,6 +472,8 @@ class _Integers(_Backend):
         return n // self.p**e
 
     def order(self, n: int) -> int:
+        if n == 0:
+            raise DomainError("p-order of zero")
         n = abs(n)
         p = self.p
         k = 0
@@ -485,7 +487,7 @@ class _Integers(_Backend):
 
     @staticmethod
     def parse(s: str, text: str) -> "tuple[int, int]":
-        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", s)
+        m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s)
         if m is None:
             raise ParseError(f"malformed rational {text!r}")
         den = parse_int(m.group(2), "denominator") if m.group(2) else 1
@@ -867,9 +869,9 @@ def field_arith(op: str, a: FieldElement, b: "FieldElement | None" = None) -> Fi
 #   (every digit string at most MAX_DIGITS long)
 
 def parse_int(text: str, what: str) -> int:
-    """A decimal integer with an optional leading '-', of at most MAX_DIGITS digits."""
+    """ASCII decimal digits with an optional leading '-', at most MAX_DIGITS of them."""
     digits = text[1:] if text.startswith("-") else text
-    if not digits.isdecimal():
+    if not (digits.isascii() and digits.isdecimal()):
         raise ParseError(f"malformed {what} {text!r}")
     if len(digits) > MAX_DIGITS:
         raise ParseError(f"{what} has more than {MAX_DIGITS} digits")
@@ -903,7 +905,7 @@ def _split_signed_terms(s: str) -> "list[tuple[int, str]]":
 
 
 def _parse_coeff(text: str, p: int) -> Coeff:
-    m = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
+    m = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", text)
     if m is None:
         raise ParseError(f"malformed coefficient {text!r}")
     b = parse_int(m.group(2), "coefficient denominator") if m.group(2) else 1
@@ -919,8 +921,8 @@ def _parse_poly(s: str, var: str, p: int) -> tuple:
     if "(" in s or ")" in s:
         raise ParseError(f"unexpected parenthesis inside polynomial {s!r}")
     term_re = re.compile(
-        rf"(?P<coeff>\d+(?:/\d+)?)(?:\*(?P<v1>{var})(?:\^(?P<e1>\d+))?)?"
-        rf"|(?P<v2>{var})(?:\^(?P<e2>\d+))?"
+        rf"(?P<coeff>[0-9]+(?:/[0-9]+)?)(?:\*(?P<v1>{var})(?:\^(?P<e1>[0-9]+))?)?"
+        rf"|(?P<v2>{var})(?:\^(?P<e2>[0-9]+))?"
     )
     acc: "dict[int, Coeff]" = {}
     for sign, body in _split_signed_terms(s):

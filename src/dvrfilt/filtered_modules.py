@@ -382,6 +382,6 @@ def format_residue_matrix(rows: ResidueMatrix) -> str:
 
 
 def parse_shifts(text: str) -> tuple:
-    if not re.fullmatch(r"-?\d+(,-?\d+)*", text):
+    if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
         raise DomainError(f"malformed shift vector {text!r}")
     return tuple(parse_int(s, "shift") for s in text.split(","))

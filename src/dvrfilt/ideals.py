@@ -142,7 +142,7 @@ def parse_ideal(text: str, spec: ValuationSpec) -> FracIdeal:
     s = text.replace(" ", "")
     if s == "0":
         return FracIdeal.zero(spec)
-    m = re.fullmatch(r"pi\^(-?\d+)\*R", s)
+    m = re.fullmatch(r"pi\^(-?[0-9]+)\*R", s)
     if m is None:
         raise ParseError(f"malformed ideal {text!r}; expected pi^<e>*R or 0")
     return FracIdeal(spec, parse_int(m.group(1), "ideal exponent"))

@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dvrfilt.cli import dispatch
+from dvrfilt.cli import _COMMANDS, _COMMON, dispatch
 
 
 def run(*argv):
@@ -238,6 +240,182 @@ def test_bad_integers_get_own_error_text(argv, message):
     assert run(*argv) == (2, f"error: {message}\n")
 
 
+# -- the argument table's parser: what it keeps of argparse's behaviour and
+# -- what it changes on purpose
+
+SUBCOMMANDS = [
+    "parse", "arith", "pipow", "val", "residue", "symbol", "grmul", "filt-check",
+    "strong-split", "adic-check", "ideal", "snf", "grmap", "specf", "axioms",
+]
+
+
+def test_flag_values_in_either_form_and_the_last_one_wins():
+    assert run("grmul", "--field", "padic:2", "--op", "add", "T", "T") == (0, "result=0\n")
+    assert run("grmul", "--field=padic:2", "--op=add", "T", "T") == (0, "result=0\n")
+    assert run("val", "--field", "padic:3", "--field=padic:2", "8/12") == (0, "v=1\n")
+    assert run("grmul", "--op", "add", "--field", "padic:2", "--op", "mul", "T", "T") == (
+        0,
+        "result=T^2\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("val", "--field"), "argument --field: expected one argument"),
+        (("val", "1", "--field", "--json"), "argument --field: expected one argument"),
+        (("val", "1", "--field", "--", "padic:2"), "argument --field: expected one argument"),
+        (("val", "--field", "padic:2", "--json=1", "1"), "argument --json: ignored explicit argument '1'"),
+        (("val", "--field", "padic:2", "1", "2"), "unrecognized arguments: 2"),
+        (("val", "--field", "padic:2", "--seed=3", "1", "--Json"), "unrecognized arguments: --seed=3 --Json"),
+    ],
+)
+def test_usage_errors_keep_their_wording(argv, message):
+    assert run(*argv) == (2, f"error: {message}\n")
+
+
+def test_a_token_with_one_leading_dash_is_a_positional():
+    assert run("pipow", "--field", "padic:2", "-2") == (0, "element=1/4\n")
+    assert run("arith", "--field", "padic:2", "sub", "-1", "-2") == (0, "result=1\n")
+    assert run("val", "--field", "padic:2", "-") == (2, "error: malformed rational '-'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a flag's type or choice error comes first
+        (("grmul", "x", "--op", "div"), "argument --op: invalid choice: 'div' (choose from 'mul', 'add')"),
+        (("adic-check", "--bogus", "--seed", "1", "--level", "x"), "argument --level: invalid int value: 'x'"),
+        # then each positional in order
+        (("strong-split", "--bogus", "1", "x", "y"), "argument n: invalid int value: 'x'"),
+        (("arith", "pow", "x", "y", "z"), "argument op: invalid choice: 'pow' (choose from "
+         "'add', 'sub', 'mul', 'div', 'neg', 'inv')"),
+        # then the missing required arguments, --field first
+        (("adic-check", "--seed", "1", "--bogus"), "the following arguments are required: --field, --level"),
+        (("strong-split", "12", "--bogus"), "the following arguments are required: --field, n, m"),
+        (("specf", "--field", "padic:2"), "the following arguments are required: op"),
+        (("ideal", "--field", "padic:2", "gen"), "the following arguments are required: args"),
+        # then unrecognized arguments, unknown flags before extra positionals
+        (("val", "--field", "padic:2", "1", "2", "--bogus"), "unrecognized arguments: --bogus 2"),
+    ],
+)
+def test_usage_errors_come_in_a_fixed_order(argv, message):
+    assert run(*argv) == (2, f"error: {message}\n")
+
+
+def test_the_first_token_names_the_subcommand():
+    code, out = run("--field", "padic:2", "val", "1")
+    assert code == 2
+    assert out.startswith("error: argument command: invalid choice: '--field' (choose from 'parse', ")
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (("pipow", "--field", "padic:2", "1_0"), "n", "1_0"),
+        (("pipow", "--field", "padic:2", "+5"), "n", "+5"),
+        (("strong-split", "--field", "padic:2", "12", "1", "\uff11"), "m", "\uff11"),
+        (("axioms", "--field", "padic:2", "--seed", " 5", "--samples", "2"), "--seed", " 5"),
+        (("axioms", "--field", "padic:2", "--seed", "1", "--samples=1_0"), "--samples", "1_0"),
+        (("filt-check", "--field", "padic:2", "--seed", "1", "--max-level", "\u0662"), "--max-level", "\u0662"),
+        (("adic-check", "--field", "padic:2", "--seed", "1", "--level", "9" * 4301), "--level", "9" * 4301),
+    ],
+)
+def test_int_arguments_take_ascii_digits_only(argv, name, text):
+    assert run(*argv) == (2, f"error: argument {name}: invalid int value: {text!r}\n")
+
+
+def test_help_lists_every_subcommand_and_prints_nothing(capsys):
+    code, out = run("--help")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == SUBCOMMANDS
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("-h",), ("val", "--field", "padic:2", "-h"), ("frobnicate", "--help"), ("val", "-h", "--", "1", "--")],
+)
+def test_help_before_the_separator_returns_the_usage(argv):
+    assert run(*argv) == run("--help")
+
+
+def test_help_after_the_separator_is_a_positional():
+    assert run("val", "--field", "padic:2", "--", "-h") == (2, "error: malformed rational '-h'\n")
+
+
+def test_abbreviated_flags_are_unrecognized():
+    argv = ("filt-check", "--field", "padic:2", "--samp=3", "--seed", "1")
+    assert run(*argv) == (2, "error: unrecognized arguments: --samp=3\n")
+    # an unknown flag takes no value, so 'padic:2' is the element here
+    assert run("val", "--fie", "padic:2", "1") == (2, "error: the following arguments are required: --field\n")
+
+
+def test_a_negative_shift_vector_parses_as_a_separate_value():
+    spaced = run("grmap", "escape", "--field", "padic:2", "--shifts-src", "-1,2", "1,1")
+    assert spaced == run("grmap", "escape", "--field", "padic:2", "--shifts-src=-1,2", "1,1")
+    assert spaced == (0, "escape=0\n")
+
+
+_FIELDS = ["padic:2", "padic:101", "tadic:3", "tadic:0", "padic:4", "tadic:x"]
+_FRAGMENTS = [
+    "0", "8/12", "-7/5", "t", "t^2+2*t", "(t+1)/(t^2)", "1/2*t+3/2", "T", "1 + 2*T",
+    "pi^1*R", "pi^-2*R", "1,2;3,4", "t,0;1,t", "2,1/2", "1,-1", "m", "x", "", "-", "--", "-h",
+]
+
+
+@st.composite
+def _argvs(draw):
+    # an argv that follows the table, then up to three stray tokens; every
+    # int is at most 5, and --samples and --max-level are always given, so
+    # no example runs a default-sized check
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    _, positionals, flags = _COMMANDS[command]
+    flags = _COMMON + flags
+    small = st.integers(-3, 5).map(str)
+
+    def value(name, kind):
+        if name == "--field":
+            return st.sampled_from(_FIELDS)
+        if name in ("--samples", "--max-level"):
+            return st.integers(0, 5).map(str)
+        if isinstance(kind, tuple):
+            return st.sampled_from(kind)
+        return small if kind is int else st.sampled_from(_FRAGMENTS)
+
+    words = []
+    for name, kind, arity in positionals:
+        count = draw(st.integers(*{"": (1, 1), "?": (0, 1), "+": (1, 2), "*": (0, 2)}[arity]))
+        words += [draw(value(name, kind)) for _ in range(count)]
+    options = []
+    for name, kind, _, _ in flags:
+        if name in ("--samples", "--max-level") or draw(st.sampled_from([True, True, True, False])):
+            if kind is bool:
+                options.append(name)
+            elif draw(st.booleans()):
+                options += [name, draw(value(name, kind))]
+            else:
+                options.append(f"{name}={draw(value(name, kind))}")
+    argv = [command] + (options + words if draw(st.booleans()) else words + options)
+    stray = st.one_of(
+        st.sampled_from(_FRAGMENTS + _FIELDS + [name for name, *_ in flags] + ["--bogus"]), small
+    )
+    if draw(st.sampled_from([False, False, True])):
+        for token in draw(st.lists(stray, max_size=3)):
+            argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_argvs())
+def test_any_table_built_argv_gets_an_answer_or_one_error_line(argv):
+    code, out = dispatch(argv)
+    assert code in (0, 1, 2)
+    assert "error: internal" not in out
+    if code == 2:
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "dvrfilt.cli", "val", "--field", "padic:2", "8/12"],
@@ -313,6 +491,7 @@ def test_light_subcommands_load_only_what_they_run(argv):
     loaded = _loaded_by_dispatch(*argv)
     assert "dvrfilt.elements" in loaded
     assert not loaded & {"dataclasses", "json", "dvrfilt.filtered_modules", "dvrfilt.spectrum"}
+    assert not loaded & {"argparse", "gettext"}
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,20 @@ ERROR_ARGVS = [
     ["parse", "--field", "padic:2"],
     ["arith", "--field", "padic:101", "add", "--", "--"],
     ["grmap", "compat", "--field", "padic:2", "--", "--"],
+    # digits are ASCII only, in the element grammar and in every int argument
+    ["parse", "--field", "padic:2", "\u0665/\u0663"],
+    ["parse", "--field", "padic:\u0667", "1"],
+    ["parse", "--field", "tadic:3", "t^\u0663"],
+    ["parse", "--field", "tadic:0", "\u0661/\u0662*t"],
+    ["ideal", "--field", "padic:2", "inv", "pi^\u0663*R"],
+    ["grmap", "escape", "--field", "padic:2", "--shifts-src=\u0662", "1"],
+    ["filt-check", "--field", "padic:2", "--seed", "1", "--samples", "2", "--max-level", "\u0662"],
+    ["pipow", "--field", "padic:2", "1_0"],
+    ["axioms", "--field", "padic:2", "--seed", " 5", "--samples", "2"],
+    # operations that take no positional arguments reject extras
+    ["specf", "lemma32", "--field", "padic:2", "--seed", "1", "--samples", "2", "junk"],
+    ["specf", "primes", "--field", "padic:2", "junk"],
+    ["--help"],
 ]
 
 

@@ -113,7 +113,8 @@ def test_coefficients_reduced_mod_p():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "abc", "1//2", "t^", "2*", "(t", "t)", "(t+1)/(t+1)/(t+1)", "t+/1", "--1"],
+    ["", "abc", "1//2", "t^", "2*", "(t", "t)", "(t+1)/(t+1)/(t+1)", "t+/1", "--1",
+     "\u0665/\u0663", "t^\u0663", "\uff11*t"],
 )
 def test_parse_rejects_malformed(text):
     spec = T3 if "t" in text or "(" in text or ")" in text else F2
@@ -397,6 +398,13 @@ def test_non_integer_uniformizer_exponents_are_rejected(field, bad):
         pi_power(field, bad)
     with pytest.raises(DomainError):
         FieldElement.one(field).shift(bad)
+
+
+@pytest.mark.parametrize("field", ["padic:2", "padic:101"])
+def test_integer_order_of_zero_is_a_domain_error(field):
+    # zero is divisible by every power of p, so counting factors never ends
+    with pytest.raises(DomainError):
+        FieldSpec.from_string(field).backend.order(0)
 
 
 @pytest.mark.parametrize("field", ["tadic:2", "tadic:3", "tadic:0"])
