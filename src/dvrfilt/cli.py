@@ -128,8 +128,7 @@ def _cmd_filt_check(ns):
     from .filtration import check_filtration_axioms
 
     _require_seed(ns)
-    samples = ns.samples if ns.samples is not None else 200
-    report = check_filtration_axioms(_vspec(ns), ns.seed, samples, ns.max_level)
+    report = check_filtration_axioms(_vspec(ns), ns.seed, ns.samples, ns.max_level)
     return _emit_report(ns, report, not report.ok)
 
 
@@ -150,8 +149,7 @@ def _cmd_adic_check(ns):
     from .filtration import adic_vs_valuation
 
     _require_seed(ns)
-    samples = ns.samples if ns.samples is not None else 200
-    report = adic_vs_valuation(_vspec(ns), ns.level, ns.seed, samples)
+    report = adic_vs_valuation(_vspec(ns), ns.level, ns.seed, ns.samples)
     return _emit_report(ns, report, not report.ok)
 
 
@@ -192,9 +190,8 @@ def _cmd_ideal(ns):
         return _emit(ns, [("ideal", format_ideal(ideal_inverse(i)))])
     if op == "power":
         return _emit(ns, [("n", format_int(as_power_of_m(i)))])
-    if op == "denom":
-        return _emit(ns, [("witness", format_element(denominator_witness(i)))])
-    raise CliUsageError(f"unknown ideal operation {op!r}")
+    # denom, the table's last choice
+    return _emit(ns, [("witness", format_element(denominator_witness(i)))])
 
 
 def _cmd_snf(ns):
@@ -262,9 +259,8 @@ def _cmd_grmap(ns):
         return _emit(ns, [("leading", format_residue_matrix(leading_matrix(f)))])
     if ns.op == "gr-injective":
         return _emit(ns, [("gr_injective", gr_injective(f))])
-    if ns.op == "injective":
-        return _emit(ns, [("injective", map_injective(f))])
-    raise CliUsageError(f"unknown grmap operation {ns.op!r}")
+    # injective; escape was handled above
+    return _emit(ns, [("injective", map_injective(f))])
 
 
 def _cmd_specf(ns):
@@ -303,89 +299,89 @@ def _cmd_specf(ns):
             raise CliUsageError("specf branched takes one prime: '0' or 'm'")
         prime = SpecPrime.from_string(ns.args[0])
         return _emit(ns, [("branched", branched(ff, prime))])
-    if ns.op == "prop36":
-        if len(ns.args) != 1:
-            raise CliUsageError("specf prop36 takes one element")
-        _require_seed(ns)
-        samples = ns.samples if ns.samples is not None else 100
-        x = parse_element(ns.args[0], spec.field)
-        report = prop36_check(ff, x, ns.seed, samples)
-        return _emit_report(ns, report, ns.strict and not report.all_pass)
-    raise CliUsageError(f"unknown specf operation {ns.op!r}")
+    # prop36, the table's last choice with arguments
+    if len(ns.args) != 1:
+        raise CliUsageError("specf prop36 takes one element")
+    _require_seed(ns)
+    samples = ns.samples if ns.samples is not None else 100
+    x = parse_element(ns.args[0], spec.field)
+    report = prop36_check(ff, x, ns.seed, samples)
+    return _emit_report(ns, report, ns.strict and not report.all_pass)
 
 
 def _cmd_axioms(ns):
     from .valuation import check_valuation_axioms
 
     _require_seed(ns)
-    samples = ns.samples if ns.samples is not None else 1000
-    report = check_valuation_axioms(_vspec(ns), ns.seed, samples)
+    report = check_valuation_axioms(_vspec(ns), ns.seed, ns.samples)
     return _emit_report(ns, report, not report.ok)
 
 
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "arith": _cmd_arith,
-    "pipow": _cmd_pipow,
-    "val": _cmd_val,
-    "residue": _cmd_residue,
-    "symbol": _cmd_symbol,
-    "grmul": _cmd_grmul,
-    "filt-check": _cmd_filt_check,
-    "strong-split": _cmd_strong_split,
-    "adic-check": _cmd_adic_check,
-    "ideal": _cmd_ideal,
-    "snf": _cmd_snf,
-    "grmap": _cmd_grmap,
-    "specf": _cmd_specf,
-    "axioms": _cmd_axioms,
-}
-
-
-# Each subcommand's arguments, declared once: (what it does, positionals,
-# flags).  A positional is (name, kind, arity) with arity "" (exactly one),
-# "?", "+" or "*"; a flag is (name, kind, default, required).  A kind is str,
-# int, bool (a flag that takes no value) or a tuple of choices.  Every
-# subcommand also takes --field (required) and --json.
+# Each subcommand, declared once: (what it does, positionals, flags,
+# handler).  A positional is (name, kind, arity) with arity "" (exactly
+# one), "?", "+" or "*"; a flag is (name, kind, default, required).  A kind
+# is str, int, bool (a flag that takes no value) or a tuple of choices.
+# Every subcommand also takes --field (required) and --json.
 _COMMON = [("--field", str, None, True), ("--json", bool, False, False)]
-_SAMPLE = [("--seed", int, None, False), ("--samples", int, None, False)]
+_SEED = ("--seed", int, None, False)
 _ELEMENT = [("element", str, "")]
 _COMMANDS = {
-    "parse": ("canonicalize an element", _ELEMENT, []),
+    "parse": ("canonicalize an element", _ELEMENT, [], _cmd_parse),
     "arith": (
         "field arithmetic",
         [("op", ("add", "sub", "mul", "div", "neg", "inv"), ""), ("a", str, ""), ("b", str, "?")],
         [],
+        _cmd_arith,
     ),
-    "pipow": ("power of the uniformizer", [("n", int, "")], []),
-    "val": ("valuation of an element", _ELEMENT, []),
-    "residue": ("image in the residue field", _ELEMENT, []),
-    "symbol": ("leading form in the graded ring", _ELEMENT, []),
+    "pipow": ("power of the uniformizer", [("n", int, "")], [], _cmd_pipow),
+    "val": ("valuation of an element", _ELEMENT, [], _cmd_val),
+    "residue": ("image in the residue field", _ELEMENT, [], _cmd_residue),
+    "symbol": ("leading form in the graded ring", _ELEMENT, [], _cmd_symbol),
     "grmul": (
         "graded-ring arithmetic on T-polynomials",
         [("u", str, ""), ("v", str, "")],
         [("--op", ("mul", "add"), "mul", False)],
+        _cmd_grmul,
     ),
-    "filt-check": ("sampled filtration axioms", [], _SAMPLE + [("--max-level", int, 10, False)]),
-    "strong-split": ("split c in R_{n+m} as a * b", _ELEMENT + [("n", int, ""), ("m", int, "")], []),
-    "adic-check": ("sampled m^n = R_n comparison", [], [("--level", int, None, True)] + _SAMPLE),
+    "filt-check": (
+        "sampled filtration axioms",
+        [],
+        [_SEED, ("--samples", int, 200, False), ("--max-level", int, 10, False)],
+        _cmd_filt_check,
+    ),
+    "strong-split": (
+        "split c in R_{n+m} as a * b",
+        _ELEMENT + [("n", int, ""), ("m", int, "")],
+        [],
+        _cmd_strong_split,
+    ),
+    "adic-check": (
+        "sampled m^n = R_n comparison",
+        [],
+        [("--level", int, None, True), _SEED, ("--samples", int, 200, False)],
+        _cmd_adic_check,
+    ),
     "ideal": (
         "fractional ideal operations",
         [("op", ("gen", "pgen", "prod", "sum", "cap", "inv", "power", "denom"), ""), ("args", str, "+")],
         [],
+        _cmd_ideal,
     ),
-    "snf": ("Smith normal form U*A*V = D", [("matrix", str, "")], []),
+    "snf": ("Smith normal form U*A*V = D", [("matrix", str, "")], [], _cmd_snf),
     "grmap": (
         "filtered map analysis; operand: matrix (rows ';', entries ','), or vector for escape",
         [("op", ("compat", "leading", "gr-injective", "injective", "escape"), ""), ("operand", str, "")],
         [("--shifts-src", str, None, False), ("--shifts-dst", str, None, False)],
+        _cmd_grmap,
     ),
     "specf": (
         "semigroup-filtration ideal spectrum",
         [("op", ("upper", "lower", "lemma32", "branched", "prop36", "primes"), ""), ("args", str, "*")],
-        _SAMPLE + [("--strict", bool, False, False)],
+        # no --samples default here: lemma32 takes 200 and prop36 100
+        [_SEED, ("--samples", int, None, False), ("--strict", bool, False, False)],
+        _cmd_specf,
     ),
-    "axioms": ("sampled valuation axioms", [], _SAMPLE),
+    "axioms": ("sampled valuation axioms", [], [_SEED, ("--samples", int, 1000, False)], _cmd_axioms),
 }
 
 
@@ -410,7 +406,7 @@ _ARITY = {"": "{}", "?": "[{}]", "+": "{} [...]", "*": "[{} ...]"}
 
 def _usage() -> str:
     out = "usage: dvrfilt COMMAND --field {padic:<p>,tadic:<p>,tadic:0} [--json] ARGUMENTS\n"
-    for command, (what, positionals, flags) in _COMMANDS.items():
+    for command, (what, positionals, flags, _) in _COMMANDS.items():
         words = [command] + [_ARITY[arity].format(_metavar(n, kind)) for n, kind, arity in positionals]
         for name, kind, _, required in flags:
             word = name if kind is bool else f"{name} {_metavar(name[2:].upper(), kind)}"
@@ -423,7 +419,7 @@ def _parse(argv: list) -> SimpleNamespace:
     if not argv:
         raise CliUsageError("the following arguments are required: command")
     command = _value("command", tuple(_COMMANDS), argv[0])
-    _, positionals, flags = _COMMANDS[command]
+    _, positionals, flags, _ = _COMMANDS[command]
     flags = {flag[0]: flag for flag in _COMMON + flags}
     values = {name: default for name, _, default, _ in flags.values()}
     tokens, unknown = [], []
@@ -478,7 +474,7 @@ def dispatch(argv) -> "tuple[int, str]":
         return 0, _usage()
     try:
         ns = _parse(argv)
-        return _HANDLERS[ns.command](ns)
+        return _COMMANDS[ns.command][3](ns)
     except (CliUsageError, ParseError, DomainError, ZeroDivisionError) as e:
         return 2, f"error: {e}\n"
     except Exception as e:  # a fault in the program, not in its input

@@ -189,7 +189,7 @@ class FieldSpec(_Frozen):
 
     @classmethod
     def from_string(cls, text: str) -> "FieldSpec":
-        m = re.fullmatch(r"(padic|tadic):([0-9]+)", text.strip())
+        m = re.fullmatch(r"(padic|tadic):([0-9]+)", text.replace(" ", ""))
         if m is None:
             raise ParseError(
                 f"malformed field spec {text!r}; expected padic:<p>, tadic:<p> or tadic:0"
@@ -429,6 +429,19 @@ class _Backend:
         k = min(n, self.order(den))
         return self._up(num, n - k), self._down(den, k)
 
+    def clear_denominators(self, row) -> "tuple[list, FieldElement]":
+        one, gcd, div, mul = self.one, self.gcd, self.div, self.mul
+        scale = one
+        for a in row:
+            if a.den != one and a.den != scale:
+                scale = mul(scale, div(a.den, gcd(scale, a.den)))
+        nums = [a.num if a.den == scale else mul(a.num, div(scale, a.den)) for a in row]
+        # an lcm of positive or monic denominators is canonical over the ring's 1
+        return nums, FieldElement._trusted(row[0].spec, scale, one)
+
+    def cross_quotient(self, a, b, c, d, e):
+        return self.div(self.sub(self.mul(a, b), self.mul(c, d)), e)
+
 
 class _Integers(_Backend):
     """padic:p -- coprime ints with a positive denominator."""
@@ -511,11 +524,8 @@ class _Integers(_Backend):
             num = -num
         return num, den
 
-    @staticmethod
-    def clear_denominators(row) -> "tuple[list, FieldElement]":
-        scale = math.lcm(*(a.den for a in row))
-        return [a.num * (scale // a.den) for a in row], FieldElement(row[0].spec, scale, 1)
-
+    # one expression in place of the shared step's four method calls; the
+    # shared step made padic:2 16x16 det about 1.2x slower
     @staticmethod
     def cross_quotient(a: int, b: int, c: int, d: int, e: int) -> int:
         return (a * b - c * d) // e
@@ -637,22 +647,6 @@ class _Polynomials(_Backend):
 
     def random_unit(self, rng) -> "tuple[tuple, tuple]":
         return self._random_unit_poly(rng), self._random_unit_poly(rng)
-
-    def clear_denominators(self, row) -> "tuple[list, FieldElement]":
-        p = self.p
-        scale = self.one
-        for a in row:
-            if len(a.den) > 1 and a.den != scale:
-                scale = poly_mul(scale, _poly_exact_div(a.den, poly_gcd(scale, a.den, p), p), p)
-        nums = [
-            a.num if a.den == scale else poly_mul(a.num, _poly_exact_div(scale, a.den, p), p)
-            for a in row
-        ]
-        return nums, FieldElement(row[0].spec, scale, self.one)
-
-    def cross_quotient(self, a: tuple, b: tuple, c: tuple, d: tuple, e: tuple) -> tuple:
-        p = self.p
-        return _poly_exact_div(poly_sub(poly_mul(a, b, p), poly_mul(c, d, p), p), e, p)
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +809,8 @@ class FieldElement(_Frozen):
         return FieldElement._trusted(self.spec, num, den)
 
     def __pow__(self, n: int) -> "FieldElement":
-        if not isinstance(n, int):
-            return NotImplemented
+        if type(n) is not int:
+            raise DomainError(f"exponent must be an integer, got {n!r}")
         if n < 0:
             return self.inverse() ** (-n)
         result = FieldElement.one(self.spec)
@@ -859,7 +853,8 @@ def field_arith(op: str, a: FieldElement, b: "FieldElement | None" = None) -> Fi
 # ---------------------------------------------------------------------------
 # parsing
 #
-# Element grammar (ASCII, whitespace ignored):
+# Element grammar (ASCII; every ' ' is dropped first, and any other
+# whitespace is malformed, as in field specs and shift vectors):
 #   rational := ['-'] digits ['/' digits]
 #   coeff    := ['-'] digits ['/' digits]          (the '-' only leads a poly)
 #   term     := coeff | coeff '*' VAR ['^' digits] | VAR ['^' digits]
@@ -905,15 +900,14 @@ def _split_signed_terms(s: str) -> "list[tuple[int, str]]":
 
 
 def _parse_coeff(text: str, p: int) -> Coeff:
-    m = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", text)
-    if m is None:
-        raise ParseError(f"malformed coefficient {text!r}")
-    b = parse_int(m.group(2), "coefficient denominator") if m.group(2) else 1
+    # text matches the coeff group of the term regex: digits ['/' digits]
+    a, _, b = text.partition("/")
+    b = parse_int(b, "coefficient denominator") if b else 1
     if b == 0:
         raise ParseError(f"zero denominator in coefficient {text!r}")
     if not _cof(b, p):
         raise ParseError(f"coefficient denominator {b} is not invertible mod {p}")
-    a = parse_int(m.group(1), "coefficient")
+    a = parse_int(a, "coefficient")
     return _cmul(_cof(a, p), _cinv(_cof(b, p), p), p)
 
 

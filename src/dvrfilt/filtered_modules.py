@@ -19,6 +19,11 @@ from typing import NamedTuple, Sequence
 from .elements import (
     DomainError,
     FieldElement,
+    _cadd,
+    _cinv,
+    _cmul,
+    _cneg,
+    _cof,
     _Frozen,
     _set,
     format_element,
@@ -161,29 +166,17 @@ def leading_matrix(f: FilteredMap) -> tuple:
 
 
 def residue_matrix_rank(rows: Sequence[Sequence[ResidueElem]]) -> int:
-    """Rank over the residue field by Gaussian elimination."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if not work[i][col].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [c * inv for c in work[rank]]
-        for i in range(len(work)):
-            if i != rank and not work[i][col].is_zero:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    """Rank over the residue field k by the fraction-free elimination of
+    :func:`_eliminate`; every one of its divisions is exact in a field."""
+    chars = {c.char for row in rows for c in row}
+    if len(chars) > 1:
+        raise DomainError("mixed residue fields")
+    k = chars.pop() if chars else 0
+
+    def step(a, b, c, d, e):
+        return _cmul(_cadd(_cmul(a, b, k), _cneg(_cmul(c, d, k), k), k), _cinv(e, k), k)
+
+    return _eliminate([[c.value for c in row] for row in rows], step, _cof(1, k))[0]
 
 
 def gr_injective(f: FilteredMap) -> bool:
@@ -200,14 +193,6 @@ class SnfResult(NamedTuple):
     u: tuple
     d: tuple
     v: tuple
-
-
-def identity_matrix(spec: ValuationSpec, n: int) -> tuple:
-    one = FieldElement.one(spec.field)
-    zero = FieldElement.zero(spec.field)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
 
 
 def snf(spec: ValuationSpec, matrix: Sequence[Sequence[FieldElement]]) -> SnfResult:
@@ -228,11 +213,11 @@ def snf(spec: ValuationSpec, matrix: Sequence[Sequence[FieldElement]]) -> SnfRes
             if spec.valuation(a) < 0:
                 raise DomainError(f"entry {format_element(a)} lies outside the ring")
 
-    d = [list(r) for r in rows]
-    u = [list(r) for r in identity_matrix(spec, m)]
-    v = [list(r) for r in identity_matrix(spec, n)]
     one = FieldElement.one(spec.field)
     zero = FieldElement.zero(spec.field)
+    d = [list(r) for r in rows]
+    u = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    v = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     for k in range(min(m, n)):
         pivot = None
@@ -285,34 +270,23 @@ def snf(spec: ValuationSpec, matrix: Sequence[Sequence[FieldElement]]) -> SnfRes
     )
 
 
-def _fraction_free(spec: ValuationSpec, matrix: Sequence) -> "tuple[int, object, FieldElement]":
-    """Fraction-free (Bareiss 1968) elimination; builds no U or V and no SNF.
+def _eliminate(rows: list, step, one) -> "tuple[int, object, int]":
+    """Fraction-free (Bareiss 1968) elimination of ``rows`` in place.
 
-    Each row is first multiplied by the lcm of its denominators, so the
-    entries lie in Z or k[t].  Entry updates are (a*p - c*b) / p_prev for
-    the pivot p and the previous pivot p_prev; the quotient is exact, as
-    every entry is then a minor of the scaled matrix.  Returns the rank over
-    K, the last pivot (a ring value), and the product of the row scales
-    negated once per row swap.  For a square matrix of full rank the
-    determinant is the last pivot divided by that scale.
+    Entry updates are step(a, p, c, b, p_prev) = (a*p - c*b) / p_prev for
+    the pivot p and the previous pivot p_prev (``one`` before the first);
+    the quotient is exact, as every entry is then a minor of the input.
+    Returns the rank, the last pivot and the number of row swaps.
     """
-    field = spec.field
-    scale = FieldElement.one(field)
-    prev = scale.num  # the ring's 1, the pivot before the first
-    rows = []
-    for r in matrix:
-        nums, s = field.backend.clear_denominators(r)
-        rows.append(nums)
-        scale = scale * s
-    step = field.backend.cross_quotient
-    rank = 0
+    prev = one
+    rank = swaps = 0
     for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            scale = -scale
+            swaps += 1
         top = rows[rank]
         p = top[col]
         for row in rows[rank + 1 :]:
@@ -320,7 +294,27 @@ def _fraction_free(spec: ValuationSpec, matrix: Sequence) -> "tuple[int, object,
             row[col + 1 :] = [step(a, p, c, b, prev) for a, b in zip(row[col + 1 :], top[col + 1 :])]
         prev = p
         rank += 1
-    return rank, prev, scale
+    return rank, prev, swaps
+
+
+def _fraction_free(spec: ValuationSpec, matrix: Sequence) -> "tuple[int, object, FieldElement]":
+    """:func:`_eliminate` on ring values; builds no U or V and no SNF.
+
+    Each row is first multiplied by the lcm of its denominators, so the
+    entries lie in Z or k[t].  Returns the rank over K, the last pivot (a
+    ring value), and the product of the row scales negated once per row
+    swap.  For a square matrix of full rank the determinant is the last
+    pivot divided by that scale.
+    """
+    ring = spec.field.backend
+    scale = FieldElement.one(spec.field)
+    rows = []
+    for r in matrix:
+        nums, s = ring.clear_denominators(r)
+        rows.append(nums)
+        scale = scale * s
+    rank, pivot, swaps = _eliminate(rows, ring.cross_quotient, ring.one)
+    return rank, pivot, -scale if swaps % 2 else scale
 
 
 def map_injective(f: FilteredMap) -> bool:
@@ -382,6 +376,7 @@ def format_residue_matrix(rows: ResidueMatrix) -> str:
 
 
 def parse_shifts(text: str) -> tuple:
-    if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
+    s = text.replace(" ", "")
+    if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", s):
         raise DomainError(f"malformed shift vector {text!r}")
-    return tuple(parse_int(s, "shift") for s in text.split(","))
+    return tuple(parse_int(x, "shift") for x in s.split(","))

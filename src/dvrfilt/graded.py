@@ -31,8 +31,8 @@ class GradedElement(_Frozen):
         char = self.spec.residue_char
         acc: dict = {}
         for degree, coeff in self.terms:
-            if not isinstance(degree, int) or degree < 0:
-                raise DomainError(f"graded degree must be a nonnegative integer, got {degree}")
+            if type(degree) is not int or degree < 0:
+                raise DomainError(f"graded degree must be a nonnegative integer, got {degree!r}")
             if not isinstance(coeff, ResidueElem) or coeff.char != char:
                 raise DomainError("graded coefficient must lie in the residue field")
             if degree in acc:
@@ -58,12 +58,6 @@ class GradedElement(_Frozen):
         if not self.terms:
             raise DomainError("the zero graded element has no degree")
         return self.terms[-1][0]
-
-    def coefficient(self, degree: int) -> ResidueElem:
-        for d, c in self.terms:
-            if d == degree:
-                return c
-        return ResidueElem(self.spec.residue_char, 0)
 
     def _check(self, other: "GradedElement") -> None:
         if other.spec != self.spec:

@@ -215,7 +215,7 @@ def test_internal_errors_are_not_reported_as_bad_input(error, monkeypatch, capsy
     def broken(ns):
         raise error
 
-    monkeypatch.setitem(cli._HANDLERS, "val", broken)
+    monkeypatch.setitem(cli._COMMANDS, "val", cli._COMMANDS["val"][:3] + (broken,))
     assert cli.main(["val", "--field", "padic:2", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -370,7 +370,7 @@ def _argvs(draw):
     # int is at most 5, and --samples and --max-level are always given, so
     # no example runs a default-sized check
     command = draw(st.sampled_from(SUBCOMMANDS))
-    _, positionals, flags = _COMMANDS[command]
+    _, positionals, flags, _ = _COMMANDS[command]
     flags = _COMMON + flags
     small = st.integers(-3, 5).map(str)
 
@@ -414,6 +414,135 @@ def test_any_table_built_argv_gets_an_answer_or_one_error_line(argv):
     assert "error: internal" not in out
     if code == 2:
         assert out.startswith("error: ") and out.count("\n") == 1
+
+
+# Texts from each grammar on the four suite fields: an element, a graded
+# element, an ideal and a matrix.  The fuzz below mutates one character of
+# one of them, or of the field string, and dispatches it.
+_GRAMMAR_TEXTS = {
+    "padic:2": {"element": "8/12", "graded": "1 + T", "ideal": "pi^-2*R", "matrix": "2,4;0,8"},
+    "padic:5": {"element": "-7/25", "graded": "3 + 4*T^2", "ideal": "pi^1*R", "matrix": "5,1;0,25"},
+    "tadic:3": {
+        "element": "(t^2+2*t)/(t+1)", "graded": "1 + 2*T", "ideal": "pi^3*R",
+        "matrix": "t,t^2;t^2,t^3+t^4",
+    },
+    "tadic:0": {"element": "1/2*t+3/2", "graded": "-3 + 2*T", "ideal": "0", "matrix": "2*t,1/2;t^2,t+1"},
+}
+_GRAMMAR_COMMANDS = {
+    "element": [["parse"], ["val"], ["residue"], ["symbol"]],
+    "graded": [["grmul"], ["grmul", "--op", "add"]],
+    "ideal": [["ideal", "inv"], ["ideal", "power"], ["ideal", "denom"]],
+    "matrix": [["snf"], ["grmap", "leading"], ["grmap", "gr-injective"], ["grmap", "injective"]],
+}
+_MUTATION_CHARS = "0123456789-+*/^(),;: tTpiR\t\n\u0663"
+
+
+def _mutate(draw, text):
+    i = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from(_MUTATION_CHARS))
+    edit = draw(st.sampled_from(("insert", "delete", "replace")))
+    return text[:i] + ("" if edit == "delete" else c) + text[i + (edit != "insert") :]
+
+
+@st.composite
+def _grammar_argvs(draw):
+    field = draw(st.sampled_from(sorted(_GRAMMAR_TEXTS)))
+    kind = draw(st.sampled_from(sorted(_GRAMMAR_COMMANDS)))
+    command = draw(st.sampled_from(_GRAMMAR_COMMANDS[kind]))
+    text = _GRAMMAR_TEXTS[field][kind]
+    if draw(st.integers(0, 4)):
+        text = _mutate(draw, text)
+    else:
+        field = _mutate(draw, field)
+    operands = [text, "T"] if kind == "graded" else [text]
+    return [*command, "--field", field, "--", *operands]
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_grammar_argvs())
+def test_any_one_character_grammar_mutation_gets_an_answer_or_one_error_line(argv):
+    code, out = dispatch(argv)
+    assert code in (0, 1, 2)
+    assert "internal" not in out
+    if code == 2:
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+
+# the operations each handler tells apart, and the first output key of each
+_OP_ARGVS = {
+    ("ideal", "gen"): (["8/3,6"], "ideal="),
+    ("ideal", "pgen"): (["8/3,6"], "e="),
+    ("ideal", "prod"): (["pi^1*R", "pi^-2*R"], "ideal="),
+    ("ideal", "sum"): (["pi^1*R", "pi^-2*R"], "ideal="),
+    ("ideal", "cap"): (["pi^1*R", "0"], "ideal="),
+    ("ideal", "inv"): (["pi^3*R"], "ideal="),
+    ("ideal", "power"): (["pi^2*R"], "n="),
+    ("ideal", "denom"): (["pi^-2*R"], "witness="),
+    ("grmap", "compat"): (["1,0;0,1"], "compatible="),
+    ("grmap", "leading"): (["2,4;0,8"], "leading="),
+    ("grmap", "gr-injective"): (["2,4;0,8"], "gr_injective="),
+    ("grmap", "injective"): (["2,4;0,8"], "injective="),
+    ("grmap", "escape"): (["2,1/2"], "escape="),
+    ("specf", "upper"): (["6", "5"], "member="),
+    ("specf", "lower"): (["6", "0"], "member="),
+    ("specf", "lemma32"): (["--seed", "1", "--samples", "5"], "clause=i "),
+    ("specf", "branched"): (["m"], "branched="),
+    ("specf", "prop36"): (["6", "--seed", "1", "--samples", "5"], "clause=first-half "),
+    ("specf", "primes"): ([], "spec="),
+}
+
+
+def test_the_op_table_lists_exactly_the_dispatched_ops():
+    choices = {(c, op) for c in ("ideal", "grmap", "specf") for op in _COMMANDS[c][1][0][1]}
+    assert choices == set(_OP_ARGVS)
+
+
+@pytest.mark.parametrize("command, op", sorted(_OP_ARGVS), ids=" ".join)
+def test_every_op_choice_reaches_its_own_branch(command, op):
+    args, key = _OP_ARGVS[command, op]
+    code, out = run(command, op, "--field", "padic:2", *args)
+    assert code == 0 and out.startswith(key), out
+
+
+@pytest.mark.parametrize(
+    "argv, default",
+    [
+        (["filt-check", "--seed", "1", "--max-level", "1"], 200),
+        (["adic-check", "--seed", "1", "--level", "1"], 200),
+        (["axioms", "--seed", "1"], 1000),
+    ],
+    ids=lambda x: x[0] if isinstance(x, list) else str(x),
+)
+def test_sample_count_defaults_come_from_the_table(argv, default):
+    assert [flag[2] for flag in _COMMANDS[argv[0]][2] if flag[0] == "--samples"] == [default]
+    given = run(*argv, "--field", "padic:2", "--samples", str(default))
+    assert run(*argv, "--field", "padic:2") == given
+    assert given[0] == 0
+    assert run(*argv, "--field", "padic:2", "--samples", str(default + 1)) != given
+
+
+# one whitespace rule for every text argument: each ' ' is dropped, and any
+# other whitespace is malformed
+def test_spaces_are_dropped_in_field_specs_and_shift_vectors():
+    assert run("parse", "--field", " padic:2 ", "1") == (0, "element=1\n")
+    assert run("parse", "--field", "tadic: 3", "t") == (0, "element=t\n")
+    spaced = run("grmap", "compat", "--field", "padic:2", "--shifts-src", "0, 1", "--shifts-dst", " 0,0", "1,0;0,1")
+    assert spaced == run("grmap", "compat", "--field", "padic:2", "--shifts-src=0,1", "--shifts-dst=0,0", "1,0;0,1")
+    assert spaced == (1, "compatible=false\noffending=1,1\n")
+
+
+@pytest.mark.parametrize("text", ["\tpadic:2\n", "padic:2\n", "padic:\u00a02", "\u3000padic:2"])
+def test_other_whitespace_in_a_field_spec_is_malformed(text):
+    assert run("parse", "--field", text, "1") == (
+        2,
+        f"error: malformed field spec {text!r}; expected padic:<p>, tadic:<p> or tadic:0\n",
+    )
+
+
+@pytest.mark.parametrize("text", ["0,\t1", "0,1\n", "\u00a00,1"])
+def test_other_whitespace_in_a_shift_vector_is_malformed(text):
+    argv = ("grmap", "escape", "--field", "padic:2", f"--shifts-src={text}", "1,1")
+    assert run(*argv) == (2, f"error: malformed shift vector {text!r}\n")
 
 
 def test_installed_entry_point_runs():

@@ -257,6 +257,10 @@ ERROR_ARGVS = [
     ["specf", "lemma32", "--field", "padic:2", "--seed", "1", "--samples", "2", "junk"],
     ["specf", "primes", "--field", "padic:2", "junk"],
     ["--help"],
+    # field specs and shift vectors drop every ' ' and reject other whitespace
+    ["parse", "--field", "\tpadic:2\n", "1"],
+    ["parse", "--field", " padic:2 ", "1"],
+    ["grmap", "escape", "--field", "padic:2", "--shifts-src", "0, 1", "1,1"],
 ]
 
 

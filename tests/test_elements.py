@@ -400,6 +400,16 @@ def test_non_integer_uniformizer_exponents_are_rejected(field, bad):
         FieldElement.one(field).shift(bad)
 
 
+@pytest.mark.parametrize("bad", INT_SUBCLASS_VALUES + (1.5, 2.0, Fraction(2)), ids=repr)
+@pytest.mark.parametrize("field", [F2, T3], ids=str)
+def test_powers_take_plain_int_exponents_only(field, bad):
+    # like shift and ideal exponents: no bool, IntEnum or float, no coercion
+    x = parse_element("3/2" if field is F2 else "t+2", field)
+    with pytest.raises(DomainError):
+        x ** bad
+    assert x ** 2 == x * x
+
+
 @pytest.mark.parametrize("field", ["padic:2", "padic:101"])
 def test_integer_order_of_zero_is_a_domain_error(field):
     # zero is divisible by every power of p, so counting factors never ends

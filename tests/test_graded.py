@@ -1,10 +1,12 @@
 """The associated graded ring: symbols, arithmetic, polynomial realization."""
 
 import random
+from enum import IntEnum
 
 import pytest
 
 from dvrfilt import (
+    DomainError,
     FieldElement,
     GradedElement,
     ResidueElem,
@@ -166,3 +168,15 @@ def test_graded_element_rejects_bad_terms():
         GradedElement(S3, ((-1, ResidueElem(3, 1)),))
     with pytest.raises(ValueError):
         GradedElement(S3, ((0, ResidueElem(5, 1)),))
+
+
+class _Degree(IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("degree", [True, False, _Degree.TWO, 2.0], ids=repr)
+def test_graded_degrees_are_plain_ints(degree):
+    # a degree is a plain int: bool and IntEnum would be kept in terms as given
+    with pytest.raises(DomainError):
+        GradedElement(S3, ((degree, ResidueElem(3, 1)),))
+    assert GradedElement(S3, ((2, ResidueElem(3, 1)),)).terms == ((2, ResidueElem(3, 1)),)

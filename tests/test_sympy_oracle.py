@@ -4,10 +4,12 @@ Seeded random matrices, full rank and rank deficient, are converted to
 sympy over QQ (padic), GF(p)(t) (tadic:p) and QQ(t) (tadic:0).  The
 determinant must be the same field element, the number of nonzero SNF
 diagonal entries must be sympy's rank, and map_injective must say full
-column rank exactly when sympy does.
+column rank exactly when sympy does.  residue_matrix_rank must give
+sympy's rank over GF(p) and QQ.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,11 +18,14 @@ from sympy import GF, QQ, Rational, Symbol  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from dvrfilt import (  # noqa: E402
+    DomainError,
     FilteredFreeModule,
     FilteredMap,
+    ResidueElem,
     ValuationSpec,
     det,
     map_injective,
+    residue_matrix_rank,
     snf,
 )
 
@@ -91,3 +96,46 @@ def test_det_and_rank_agree_with_sympy(field, count, max_dim):
             # representations; a zero difference compares values
             assert not (_to_sympy(det(spec, a), domain) - m.det())
     assert deficient > 0
+
+
+def _residue_values(rng, char, count):
+    # about a third zeros, so that pivots are often missing
+    if char:
+        return [rng.randrange(char) if rng.random() < 0.7 else 0 for _ in range(count)]
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.7 else 0 for _ in range(count)]
+
+
+@pytest.mark.parametrize("char", [2, 3, 101, 0])
+def test_residue_matrix_rank_agrees_with_sympy(char):
+    domain = GF(char) if char else QQ
+    rng = random.Random(f"residue-rank:{char}")
+    deficient = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        values = [_residue_values(rng, char, cols) for _ in range(rows)]
+        if rows >= 3 and rng.random() < 0.4:
+            # the last row becomes the sum of two others
+            values[-1] = [a + b for a, b in zip(values[0], values[1])]
+        matrix = [[ResidueElem(char, v) for v in row] for row in values]
+        elems = [[domain(ResidueElem(char, v).value) for v in row] for row in values]
+        rank = DomainMatrix(elems, (rows, cols), domain).rank()
+        deficient += rank < min(rows, cols)
+        assert residue_matrix_rank(matrix) == rank, values
+    assert deficient > 0
+
+
+def test_residue_matrix_rank_of_empty_shapes_is_zero():
+    assert residue_matrix_rank([]) == 0
+    assert residue_matrix_rank([[], [], []]) == 0
+    assert residue_matrix_rank(()) == 0
+
+
+def test_residue_matrix_rank_rejects_mixed_characteristics():
+    # rejected before any elimination, also where the two fields never meet
+    for rows in (
+        [[ResidueElem(2, 1), ResidueElem(3, 1)]],
+        [[ResidueElem(2, 1)], [ResidueElem(0, 1)]],
+        [[ResidueElem(5, 0), ResidueElem(5, 1)], [ResidueElem(7, 0), ResidueElem(5, 0)]],
+    ):
+        with pytest.raises(DomainError, match="mixed residue fields"):
+            residue_matrix_rank(rows)
