@@ -513,16 +513,16 @@ class _Integers(_Backend):
         return format_int(num) if den == 1 else f"{format_int(num)}/{format_int(den)}"
 
     def random_unit(self, rng) -> "tuple[int, int]":
-        p = self.p
-        num = rng.randrange(1, 50)
+        p, below = self.p, rng._randbelow
+        num = 1 + below(49)
         while num % p == 0:
-            num = rng.randrange(1, 50)
-        den = rng.randrange(1, 50)
+            num = 1 + below(49)
+        den = 1 + below(49)
         while den % p == 0:
-            den = rng.randrange(1, 50)
+            den = 1 + below(49)
         if rng.random() < 0.5:
             num = -num
-        return num, den
+        return num // (g := math.gcd(num, den)), den // g
 
     # one expression in place of the shared step's four method calls; the
     # shared step made padic:2 16x16 det about 1.2x slower
@@ -629,24 +629,28 @@ class _Polynomials(_Backend):
             return num_s
         return f"({num_s})/({format_poly(den, 't')})"
 
-    def _random_unit_poly(self, rng) -> list:
-        # nonzero constant term => t-order 0; the caller canonicalizes
-        p = self.p
-        deg = rng.randrange(0, 4)
+    def _random_unit_poly(self, rng) -> tuple:
+        # nonzero constant and leading terms: t-order 0 and nothing to strip
+        p, below = self.p, rng._randbelow
+        deg = below(4)
         if p:
-            cs = [rng.randrange(p) for _ in range(deg + 1)]
-            cs[0] = rng.randrange(1, p)
+            cs = [below(p) for _ in range(deg + 1)]
+            cs[0] = 1 + below(p - 1)
             if deg and cs[-1] == 0:
-                cs[-1] = rng.randrange(1, p)
-        else:
-            cs = [rng.randrange(-5, 6) for _ in range(deg + 1)]
-            cs[0] = rng.choice((1, 2, 3, -1, -2, 5))
-            if deg and cs[-1] == 0:
-                cs[-1] = rng.choice((1, -1, 2))
-        return cs
+                cs[-1] = 1 + below(p - 1)
+            return tuple(cs)
+        cs = [below(11) - 5 for _ in range(deg + 1)]
+        cs[0] = (1, 2, 3, -1, -2, 5)[below(6)]
+        if deg and cs[-1] == 0:
+            cs[-1] = (1, -1, 2)[below(3)]
+        return tuple(map(Fraction, cs))  # Q coefficients are Fractions
 
     def random_unit(self, rng) -> "tuple[tuple, tuple]":
-        return self._random_unit_poly(rng), self._random_unit_poly(rng)
+        num, den = self._random_unit_poly(rng), self._random_unit_poly(rng)
+        g = self.gcd(num, den)
+        if g != self.one:
+            num, den = self.div(num, g), self.div(den, g)
+        return self.normalize(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -5,33 +5,46 @@ unit (bounded numerator and denominator coprime to the uniformizer), so
 every valuation stratum in the window is covered.  All functions consume
 an explicit ``random.Random`` and are deterministic given its state.
 
-The unit is the only draw that depends on the field kind; the field's
-backend in ``elements`` makes it, so nothing here branches on the kind.
+The field's backend in ``elements`` draws the unit, the only kind-dependent
+draw.  Draws call ``rng._randbelow``, as ``randrange``/``randint``/``choice`` do.
 """
 
 from __future__ import annotations
 
 import random
 
-from .elements import FieldElement, FieldSpec
+from .elements import MAX_EXPONENT, FieldElement, FieldSpec
 
 
 def random_unit(field: FieldSpec, rng: random.Random) -> FieldElement:
     """A random element of valuation exactly 0."""
-    num, den = field.backend.random_unit(rng)
-    return FieldElement(field, num, den)
+    return FieldElement._trusted(field, *field.backend.random_unit(rng))
+
+
+def _pi_power_times_unit(field: FieldSpec, rng: random.Random, k: int) -> FieldElement:
+    up, (num, den) = field.backend._up, field.backend.random_unit(rng)
+    if k > 0:  # a unit's num and den have order 0, so pi^k cancels nothing
+        num = up(num, k)
+    elif k < 0:
+        den = up(den, -k)
+    return FieldElement._trusted(field, num, den)
 
 
 def random_nonzero_element(
     field: FieldSpec, rng: random.Random, kmin: int = -6, kmax: int = 6
 ) -> FieldElement:
-    k = rng.randint(kmin, kmax)  # drawn before the unit, as every seeded sample expects
-    return random_unit(field, rng).shift(k)
+    width = kmax - kmin + 1
+    if width <= 0:  # randint's error, in CPython 3.10-3.11's words
+        raise ValueError("empty range for randrange() (%d, %d, %d)" % (kmin, kmax + 1, width))
+    k = kmin + rng._randbelow(width)  # drawn before the unit, as every seeded sample expects
+    if abs(k) > MAX_EXPONENT:
+        random_unit(field, rng).shift(k)  # shift's DomainError, after the unit's draws
+    return _pi_power_times_unit(field, rng, k)
 
 
 def random_element(field: FieldSpec, rng: random.Random, kmin: int = -6, kmax: int = 6) -> FieldElement:
     """Like :func:`random_nonzero_element` but zero with probability 1/12."""
-    if rng.randrange(12) == 0:
+    if rng._randbelow(12) == 0:
         return FieldElement.zero(field)
     return random_nonzero_element(field, rng, kmin, kmax)
 
@@ -41,8 +54,12 @@ def random_ring_element(field: FieldSpec, rng: random.Random) -> FieldElement:
 
 
 def random_level_element(field: FieldSpec, rng: random.Random, n: int) -> FieldElement:
-    """A random member of the level set {v >= n} (zero included occasionally)."""
-    return random_ring_element(field, rng).shift(n)
+    """pi^n times a random ring element, in one step: a member of {v >= n}, zero occasionally."""
+    if type(n) is not int or abs(n) > MAX_EXPONENT:
+        FieldElement.zero(field).shift(n)  # shift's DomainError; only n is bounded, not k + n
+    if rng._randbelow(12) == 0:
+        return FieldElement.zero(field)
+    return _pi_power_times_unit(field, rng, n + rng._randbelow(7))
 
 
 def random_nonzero_level_element(field: FieldSpec, rng: random.Random, n: int) -> FieldElement:

@@ -118,7 +118,10 @@ def lower_member_literal(ff: FiltFn, x: FieldElement, g: int) -> bool:
     return ff.value(power) == g
 
 
-def _stratified_ring_samples(ff: FiltFn, rng: random.Random, samples: int) -> list:
+def _stratified_ring_samples(ff: FiltFn, seed: int, samples: int) -> list:
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    rng = random.Random(seed)
     field = ff.spec.field
     pi = ff.spec.uniformizer
     xs = [pi, pi * pi, FieldElement.one(field), FieldElement.zero(field)]
@@ -134,10 +137,7 @@ def lemma32_report(ff: FiltFn, seed: int, samples: int) -> StatusReport:
     on stratified samples; clause (i) and the lower half of (iv) fail for
     the literal sets, and the report carries a witness for each failure.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = random.Random(seed)
-    xs = _stratified_ring_samples(ff, rng, samples)
+    xs = _stratified_ring_samples(ff, seed, samples)
     pi = ff.spec.uniformizer
     levels = range(1, 11)
     return StatusReport(
@@ -211,8 +211,7 @@ def prop36_check(ff: FiltFn, x: FieldElement, seed: int, samples: int = 100) -> 
     if fx == 0:
         raise DomainError("x must have positive value")
     g = fx.finite
-    rng = random.Random(seed)
-    xs = _stratified_ring_samples(ff, rng, samples)
+    xs = _stratified_ring_samples(ff, seed, samples)
 
     # f(x) >= 1 is enforced above, so x itself passes exactly when it lies in
     # upper(f(x))

@@ -261,6 +261,9 @@ ERROR_ARGVS = [
     ["parse", "--field", "\tpadic:2\n", "1"],
     ["parse", "--field", " padic:2 ", "1"],
     ["grmap", "escape", "--field", "padic:2", "--shifts-src", "0, 1", "1,1"],
+    # prop36 takes at least one sample, as lemma32 and the checkers do
+    ["specf", "prop36", "--field", "padic:2", "--seed", "3", "--samples", "0", "12"],
+    ["specf", "prop36", "--field", "padic:2", "--seed", "3", "--samples", "-1", "12"],
 ]
 
 

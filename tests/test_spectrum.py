@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dvrfilt import (
+    DomainError,
     FieldElement,
     FiltFn,
     SpecPrime,
@@ -216,6 +217,17 @@ def test_prop36_domain_errors():
         prop36_check(FF2, parse_element("1/2", S2.field), seed=0)
     with pytest.raises(ValueError):
         prop36_check(FF2, FieldElement.zero(S2.field), seed=0)
+
+
+def test_prop36_rejects_fewer_than_one_sample(monkeypatch):
+    # the same error as lemma32 and the sampled checkers, before any draw
+    import dvrfilt.spectrum as spectrum
+
+    monkeypatch.setattr(spectrum.sampling, "random_ring_element", None)
+    for samples in (0, -1):
+        for x in ("6", "4"):
+            with pytest.raises(DomainError, match=r"^samples must be >= 1$"):
+                prop36_check(FF2, parse_element(x, S2.field), seed=3, samples=samples)
 
 
 def test_prop36_first_half_on_sampled_maximal_elements():
