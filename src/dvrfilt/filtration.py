@@ -10,8 +10,6 @@ axiom checkers run on levels n >= 0 only.
 
 from __future__ import annotations
 
-import random
-
 from . import sampling
 from .elements import DomainError, FieldElement, format_element
 from .reports import CheckReport, _Tally
@@ -34,9 +32,7 @@ def check_filtration_axioms(
     """
     if max_level < 1:
         raise DomainError("max_level must be >= 1")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = random.Random(seed)
+    rng = sampling._seeded(seed, samples)
     field = spec.field
     subset, sums, rmul, prod = map(_Tally, ("subset", "sum-closure", "ring-multiple", "product"))
     for n in range(max_level + 1):
@@ -90,9 +86,7 @@ def adic_vs_valuation(spec: ValuationSpec, n: int, seed: int, samples: int) -> C
     """
     if n < 0:
         raise DomainError("level must be nonnegative")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = random.Random(seed)
+    rng = sampling._seeded(seed, samples)
     field = spec.field
     pin = spec.uniformizer_power(n)
     prod, wit = _Tally("power-product-in-level"), _Tally("pi-power-witness")

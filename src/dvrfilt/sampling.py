@@ -13,7 +13,17 @@ from __future__ import annotations
 
 import random
 
-from .elements import MAX_EXPONENT, FieldElement, FieldSpec
+from .elements import MAX_EXPONENT, DomainError, FieldElement, FieldSpec
+
+
+def _seeded(seed: int, samples: int) -> random.Random:
+    """The generator of a sampled check, once its seed and sample count are plain ints."""
+    for name, value in (("seed", seed), ("samples", samples)):
+        if type(value) is not int:
+            raise DomainError(f"{name} must be an int, not {type(value).__name__}")
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    return random.Random(seed)
 
 
 def random_unit(field: FieldSpec, rng: random.Random) -> FieldElement:

@@ -24,7 +24,6 @@ definitions.
 from __future__ import annotations
 
 import operator
-import random
 from enum import Enum
 from itertools import accumulate, repeat
 
@@ -119,9 +118,7 @@ def lower_member_literal(ff: FiltFn, x: FieldElement, g: int) -> bool:
 
 
 def _stratified_ring_samples(ff: FiltFn, seed: int, samples: int) -> list:
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = random.Random(seed)
+    rng = sampling._seeded(seed, samples)
     field = ff.spec.field
     pi = ff.spec.uniformizer
     xs = [pi, pi * pi, FieldElement.one(field), FieldElement.zero(field)]

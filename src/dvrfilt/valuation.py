@@ -15,7 +15,6 @@ coefficient helpers that k[t] uses.
 from __future__ import annotations
 
 import functools
-import random
 
 from . import sampling
 from .elements import (
@@ -250,9 +249,7 @@ def check_valuation_axioms(spec: ValuationSpec, seed: int, samples: int) -> Chec
     branch of the inequality is exercised.  Violations are reported, not
     thrown.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = random.Random(seed)
+    rng = sampling._seeded(seed, samples)
     mul, ultra, sharp = _Tally("mul"), _Tally("ultrametric"), _Tally("ultrametric-sharp")
     for i in range(samples):
         a = sampling.random_nonzero_element(spec.field, rng)

@@ -8,7 +8,7 @@ or witness of each law.
 
 import pytest
 
-from dvrfilt import filtration, spectrum
+from dvrfilt import DomainError, filtration, spectrum
 from dvrfilt.spectrum import FiltFn
 from dvrfilt.valuation import ExtInt, ValuationSpec, check_valuation_axioms
 
@@ -196,3 +196,44 @@ def test_infinite_power_value_is_a_clause_ii_witness(monkeypatch):
     monkeypatch.setattr(FiltFn, "value", broken)
     report = spectrum.lemma32_report(FiltFn(S2), 4, 8)
     assert report.render() == CLAUSE_II_FAILURE
+
+
+# -- the seed and sample count of every sampled entry point: plain ints only,
+# -- checked once per call by sampling._seeded, before any draw
+
+def _sampled_entry_points():
+    x = S2.uniformizer_power(1)
+    yield "check_valuation_axioms", lambda seed, n: check_valuation_axioms(S2, seed, n)
+    yield "check_filtration_axioms", lambda seed, n: filtration.check_filtration_axioms(S2, seed, n, 2)
+    yield "adic_vs_valuation", lambda seed, n: filtration.adic_vs_valuation(S2, 2, seed, n)
+    yield "lemma32_report", lambda seed, n: spectrum.lemma32_report(FiltFn(S2), seed, n)
+    yield "prop36_check", lambda seed, n: spectrum.prop36_check(FiltFn(S2), x, seed, n)
+
+
+ENTRY_POINTS = dict(_sampled_entry_points())
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [None, True, 1.5, "1"], ids=repr)
+def test_seed_and_sample_count_must_be_plain_ints(name, bad, monkeypatch):
+    from dvrfilt import sampling
+
+    monkeypatch.setattr(sampling, "random_ring_element", None)  # no draw happens
+    monkeypatch.setattr(sampling, "random_nonzero_element", None)
+    monkeypatch.setattr(sampling, "random_level_element", None)
+    kind = type(bad).__name__
+    with pytest.raises(DomainError, match=rf"^seed must be an int, not {kind}$"):
+        ENTRY_POINTS[name](bad, 2)
+    with pytest.raises(DomainError, match=rf"^samples must be an int, not {kind}$"):
+        ENTRY_POINTS[name](1, bad)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_the_guard_runs_once_per_call(name, monkeypatch):
+    from dvrfilt import sampling
+
+    calls = []
+    guard = sampling._seeded
+    monkeypatch.setattr(sampling, "_seeded", lambda seed, n: calls.append(n) or guard(seed, n))
+    ENTRY_POINTS[name](3, 4)
+    assert calls == [4]

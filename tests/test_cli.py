@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvrfilt.cli import _COMMANDS, _COMMON, dispatch
+from dvrfilt.cli import _COMMANDS, _COMMON, _flags, _parse, dispatch
 
 
 def run(*argv):
@@ -215,12 +215,15 @@ def test_internal_errors_are_not_reported_as_bad_input(error, monkeypatch, capsy
     def broken(ns):
         raise error
 
+    # a subcommand's handler, and an op's function in its row
     monkeypatch.setitem(cli._COMMANDS, "val", cli._COMMANDS["val"][:3] + (broken,))
-    assert cli.main(["val", "--field", "padic:2", "1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: internal {type(error).__name__}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    monkeypatch.setitem(cli._SPECF_OPS, "primes", cli._SPECF_OPS["primes"][:3] + (broken,))
+    for argv in (["val", "--field", "padic:2", "1"], ["specf", "primes", "--field", "padic:2"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: internal {type(error).__name__}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -297,6 +300,15 @@ def test_a_token_with_one_leading_dash_is_a_positional():
         (("ideal", "--field", "padic:2", "gen"), "the following arguments are required: args"),
         # then unrecognized arguments, unknown flags before extra positionals
         (("val", "--field", "padic:2", "1", "2", "--bogus"), "unrecognized arguments: --bogus 2"),
+        # a flag the op does not read is unrecognized, after the missing arguments
+        (("specf", "upper", "--seed", "1", "6"), "the following arguments are required: --field"),
+        (("specf", "upper", "--field", "padic:2", "--seed", "1", "6", "--bogus"),
+         "unrecognized arguments: --seed 1 --bogus"),
+        # then the op's arity, then a missing --seed; a bad --field comes after both
+        (("specf", "prop36", "--field", "padic:4"), "specf prop36 takes one element"),
+        (("specf", "prop36", "--field", "padic:4", "6"), "--seed is required for sampling subcommands"),
+        (("filt-check", "--field", "padic:4"), "--seed is required for sampling subcommands"),
+        (("ideal", "prod", "--field", "padic:4", "pi^1*R"), "ideal prod takes exactly two ideals"),
     ],
 )
 def test_usage_errors_come_in_a_fixed_order(argv, message):
@@ -351,6 +363,20 @@ def test_abbreviated_flags_are_unrecognized():
     assert run("val", "--fie", "padic:2", "1") == (2, "error: the following arguments are required: --field\n")
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("grmap", "escape", "--field", "padic:2", "--shifts-dst=5,5,5", "1,1"), "--shifts-dst=5,5,5"),
+        (("specf", "upper", "--field", "padic:2", "--seed", "1", "--samples", "99999999", "--strict", "6", "5"),
+         "--seed 1 --samples 99999999 --strict"),
+        (("specf", "primes", "--field", "padic:2", "--seed", "1", "--strict"), "--seed 1 --strict"),
+        (("specf", "branched", "--field", "padic:2", "--samples", "3", "m"), "--samples 3"),
+    ],
+)
+def test_a_flag_the_op_does_not_read_is_unrecognized(argv, unread):
+    assert run(*argv) == (2, f"error: unrecognized arguments: {unread}\n")
+
+
 def test_a_negative_shift_vector_parses_as_a_separate_value():
     spaced = run("grmap", "escape", "--field", "padic:2", "--shifts-src", "-1,2", "1,1")
     assert spaced == run("grmap", "escape", "--field", "padic:2", "--shifts-src=-1,2", "1,1")
@@ -366,11 +392,19 @@ _FRAGMENTS = [
 
 @st.composite
 def _argvs(draw):
-    # an argv that follows the table, then up to three stray tokens; every
-    # int is at most 5, and --samples and --max-level are always given, so
-    # no example runs a default-sized check
+    # an argv that follows the table (the op's row, for ideal, grmap and
+    # specf), then up to three stray tokens, or one flag the op does not
+    # read; every int is at most 5, and --samples and --max-level are
+    # always given, so no example runs a default-sized check.  Returns the
+    # argv and whether it names a flag its op does not read.
     command = draw(st.sampled_from(SUBCOMMANDS))
-    _, positionals, flags, _ = _COMMANDS[command]
+    _, positionals, flags, run = _COMMANDS[command]
+    words, unread = [], []
+    if isinstance(run, dict):
+        op = draw(st.sampled_from(sorted(run)))
+        names, flags, _, _ = run[op]
+        words, positionals = [op], [(name, str, "") for name in names]
+        unread = [flag for flag in _flags(command) if flag[0] not in {f[0] for f in flags}]
     flags = _COMMON + flags
     small = st.integers(-3, 5).map(str)
 
@@ -383,7 +417,6 @@ def _argvs(draw):
             return st.sampled_from(kind)
         return small if kind is int else st.sampled_from(_FRAGMENTS)
 
-    words = []
     for name, kind, arity in positionals:
         count = draw(st.integers(*{"": (1, 1), "?": (0, 1), "+": (1, 2), "*": (0, 2)}[arity]))
         words += [draw(value(name, kind)) for _ in range(count)]
@@ -396,6 +429,10 @@ def _argvs(draw):
                 options += [name, draw(value(name, kind))]
             else:
                 options.append(f"{name}={draw(value(name, kind))}")
+    if unread and draw(st.booleans()):
+        name, kind, _, _ = draw(st.sampled_from(unread))
+        options.append(name if kind is bool else f"{name}={draw(value(name, kind))}")
+        return [command, *options, "--", *words], True  # after '--', '-h' is a positional
     argv = [command] + (options + words if draw(st.booleans()) else words + options)
     stray = st.one_of(
         st.sampled_from(_FRAGMENTS + _FIELDS + [name for name, *_ in flags] + ["--bogus"]), small
@@ -403,17 +440,20 @@ def _argvs(draw):
     if draw(st.sampled_from([False, False, True])):
         for token in draw(st.lists(stray, max_size=3)):
             argv.insert(draw(st.integers(1, len(argv))), token)
-    return argv
+    return argv, False
 
 
 @settings(max_examples=300, derandomize=True)
 @given(_argvs())
-def test_any_table_built_argv_gets_an_answer_or_one_error_line(argv):
+def test_any_table_built_argv_gets_an_answer_or_one_error_line(case):
+    argv, reads_an_unread_flag = case
     code, out = dispatch(argv)
     assert code in (0, 1, 2)
     assert "error: internal" not in out
     if code == 2:
         assert out.startswith("error: ") and out.count("\n") == 1
+    if reads_an_unread_flag:
+        assert code == 2, argv
 
 
 # Texts from each grammar on the four suite fields: an element, a graded
@@ -493,15 +533,22 @@ _OP_ARGVS = {
 
 
 def test_the_op_table_lists_exactly_the_dispatched_ops():
-    choices = {(c, op) for c in ("ideal", "grmap", "specf") for op in _COMMANDS[c][1][0][1]}
-    assert choices == set(_OP_ARGVS)
+    rows = {c: ops for c, (_, _, _, ops) in _COMMANDS.items() if isinstance(ops, dict)}
+    assert sorted(rows) == ["grmap", "ideal", "specf"]
+    for c, ops in rows.items():
+        assert _COMMANDS[c][1][0] == ("op", tuple(ops), "")  # the op choices are the rows
+    assert {(c, op) for c, ops in rows.items() for op in ops} == set(_OP_ARGVS)
 
 
 @pytest.mark.parametrize("command, op", sorted(_OP_ARGVS), ids=" ".join)
-def test_every_op_choice_reaches_its_own_branch(command, op):
+def test_every_op_choice_reaches_its_own_branch(command, op, monkeypatch):
     args, key = _OP_ARGVS[command, op]
     code, out = run(command, op, "--field", "padic:2", *args)
     assert code == 0 and out.startswith(key), out
+    # the function that ran is the one the op's row names
+    ops = _COMMANDS[command][3]
+    monkeypatch.setitem(ops, op, ops[op][:3] + (lambda ns: (0, f"ran {ns.op}\n"),))
+    assert run(command, op, "--field", "padic:2", *args) == (0, f"ran {op}\n")
 
 
 @pytest.mark.parametrize(
@@ -510,15 +557,21 @@ def test_every_op_choice_reaches_its_own_branch(command, op):
         (["filt-check", "--seed", "1", "--max-level", "1"], 200),
         (["adic-check", "--seed", "1", "--level", "1"], 200),
         (["axioms", "--seed", "1"], 1000),
+        (["specf", "lemma32", "--seed", "1"], 200),
+        (["specf", "prop36", "6", "--seed", "1"], 100),
     ],
     ids=lambda x: x[0] if isinstance(x, list) else str(x),
 )
 def test_sample_count_defaults_come_from_the_table(argv, default):
-    assert [flag[2] for flag in _COMMANDS[argv[0]][2] if flag[0] == "--samples"] == [default]
+    _, _, flags, ops = _COMMANDS[argv[0]]
+    flags = ops[argv[1]][1] if isinstance(ops, dict) else flags
+    assert [flag[2] for flag in flags if flag[0] == "--samples"] == [default]
+    assert _parse([*argv, "--field", "padic:2"])[0].samples == default
     given = run(*argv, "--field", "padic:2", "--samples", str(default))
     assert run(*argv, "--field", "padic:2") == given
     assert given[0] == 0
-    assert run(*argv, "--field", "padic:2", "--samples", str(default + 1)) != given
+    if argv[0] != "specf":  # the clause reports do not print their sample count
+        assert run(*argv, "--field", "padic:2", "--samples", str(default + 1)) != given
 
 
 # one whitespace rule for every text argument: each ' ' is dropped, and any
