@@ -2,47 +2,43 @@
 
 Two families of fields are available, selected by a :class:`FieldSpec`:
 
-* ``padic:p`` -- the rational numbers.  Elements are reduced integer
-  fractions with positive denominator; ``p`` must be a prime below
-  ``PRIME_TEST_BOUND`` and selects the valuation used by the rest of the
-  package.
-* ``tadic:p`` -- rational functions in ``t`` with coefficients in F_p
-  (``p`` prime) or in Q (``p = 0``).  Elements are reduced polynomial
-  fractions with a monic denominator; F_p coefficients are stored as
-  canonical representatives in ``[0, p)``.
+* ``padic:p`` -- the rationals: coprime ints with a positive denominator;
+  ``p`` is a prime below ``PRIME_TEST_BOUND`` and selects the valuation.
+* ``tadic:p`` -- rational functions in ``t`` over F_p (``p`` prime) or Q
+  (``p = 0``).  Over F_p: coprime coefficient tuples, coefficients ints in
+  ``[0, p)``, with a monic denominator.  Over Q: a pair (N, D) of int
+  tuples, coprime in Q[t], with lead(D) > 0 and the gcd of all
+  coefficients of N and D together 1.
 
 The kind is decided here only, once: ``FieldSpec`` picks a backend for
-the ring under the fractions, Z (``_Integers``) or k[t]
+the ring under the fractions, Z (``_Integers``) or F_p[t] or Z[t]
 (``_Polynomials``), which owns everything that depends on that
 representation.  Everything else calls the backend.  The coefficient
-field k (F_p or Q) is implemented once, by the ``_c*`` helpers; the k[t]
-kernels below work on the underlying ints instead.
+field k (F_p or Q) is implemented once, by the ``_c*`` helpers; parsing,
+formatting and residues use them.  ``Fraction`` appears only there and in
+the public ``num``/``den`` of a ``tadic:0`` element, built on demand as
+Fraction tuples over a monic ``den``.
 
 Canonical form is unique, so equality of elements is plain structural
 equality, everything is immutable and hashable, and all arithmetic is
-exact at any magnitude (Python integers / ``fractions.Fraction``).
+exact at any magnitude.  Only outside input (``FieldElement(spec, num,
+den)``, parsing, random units) is canonicalized.  Arithmetic builds
+results in lowest terms and stores them through ``FieldElement._trusted``,
+which checks nothing.  For coprime a/b and c/d (Henrici; Knuth, TAOCP 2,
+4.5.1), a/b * c/d needs only gcd(a, d) and gcd(c, b); a/b + c/d needs no
+gcd when g = gcd(b, d) is 1, else one against g; over Z[t] both then
+divide out the joint content.  pi^n * x (``shift``) cancels
+min(n, ord_pi(den)) powers of pi from the denominator, or the mirror image
+for n < 0, no gcd.
 
-Only outside input (``FieldElement(spec, num, den)``, parsing, random
-units) is canonicalized.  Arithmetic builds results in lowest terms and
-stores them through ``FieldElement._trusted``, which checks nothing.  For
-coprime a/b and c/d (Henrici; Knuth, TAOCP 2, 4.5.1), a/b * c/d needs only
-gcd(a, d) and gcd(c, b); a/b + c/d needs no gcd when g = gcd(b, d) is 1,
-else one against g.  pi^n * x (``shift``) cancels min(n, ord_pi(den))
-powers of pi from the denominator, or the mirror image for n < 0, no gcd.
-
-Polynomials are coefficient tuples in ascending degree with no trailing
-zeros; the zero polynomial is the empty tuple.  Every coefficient is an
-``int`` in ``[0, p)`` over F_p and a ``Fraction`` (never a bare ``int``)
-over Q; every function here returns tuples that keep this invariant.
-
-The kernels ``poly_mul``, ``poly_divmod`` and ``poly_gcd`` run their inner
-loops on plain ints.  Over F_p they accumulate raw products and reduce mod
-p once per output coefficient (in division, also the coefficient read as
-the next quotient term).  Over Q they write each operand as an integer
-polynomial over one common denominator, multiply, pseudo-divide and take
-the gcd by primitive PRS in Z[t], and build one ``Fraction`` per output
-coefficient.  The monic gcd, quotient and remainder are unique, so the
-results are the same tuples a field-coefficient computation gives.
+Polynomials are int tuples in ascending degree with no trailing zeros;
+zero is the empty tuple.  The kernels ``poly_mul``, ``poly_divmod`` and
+``poly_gcd`` take the characteristic p.  Over F_p they reduce mod p once
+per output coefficient (in division, also the coefficient read as the next
+quotient term); the gcd is monic.  For p = 0 they work in Z[t] (Knuth,
+TAOCP 2, 4.6.1): division is pseudo-division, s*a = q*b + r with the least
+scale s > 0 (1 when b divides a in Z[t]), and the gcd is primitive with a
+positive lead, by primitive PRS.
 """
 
 from __future__ import annotations
@@ -233,7 +229,7 @@ def _cinv(x: Coeff, p: int) -> Coeff:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over the coefficient field
+# dense polynomial arithmetic on coefficient tuples: ints mod p, or Z[t] for p = 0
 
 def _strip(cs: list) -> list:
     while cs and not cs[-1]:
@@ -258,13 +254,6 @@ def poly_neg(a: tuple, p: int) -> tuple:
 def poly_sub(a: tuple, b: tuple, p: int) -> tuple:
     return poly_add(a, poly_neg(b, p), p)
 
-def _over_q(a: tuple) -> "tuple[list, int]":
-    """Integers ``A`` and ``d > 0`` with ``a == A / d``, for Fraction coefficients."""
-    d = math.lcm(*[c.denominator for c in a])
-    if d == 1:
-        return [c.numerator for c in a], 1
-    return [c.numerator * (d // c.denominator) for c in a], d
-
 def _primitive(cs: list) -> list:
     """``cs`` (no trailing zeros) divided by the gcd of its entries."""
     g = math.gcd(*cs)
@@ -280,11 +269,8 @@ def _int_mul(a, b) -> list:
     ]
 
 def _divmod_fp(r: list, b, p: int) -> list:
-    """Divide ``r`` by ``b`` over F_p in place; returns the quotient.
-
-    ``r`` becomes the remainder, ``len(b) - 1`` raw ints not yet reduced mod
-    p; only each entry read as the next quotient term is reduced.
-    """
+    """Divide ``r`` by ``b`` over F_p in place and return the quotient; ``r``
+    becomes the remainder, ``len(b) - 1`` raw ints not yet reduced mod p."""
     inv = pow(b[-1], -1, p)
     low = b[:-1]
     db = len(low)
@@ -298,32 +284,33 @@ def _divmod_fp(r: list, b, p: int) -> list:
     del r[db:]
     return q
 
-def _pseudo_divmod(r: list, b: list) -> "tuple[list, int]":
+def _pseudo_divmod(r: list, b) -> "tuple[list, int]":
     """Fraction-free division of the integer polynomial ``r`` by ``b``.
 
-    ``r`` is overwritten with an integer R, ``len(b) - 1`` entries long
-    (trailing zeros included), and ``(q, s)`` is returned: over Q the input
-    divided by ``b`` has quotient ``sum(c_k / s_k * x^k)``, for
-    ``q[k] == (c_k, s_k)``, and remainder ``R / s``.  Each step scales ``r``
-    in place by lead(b) / gcd(top, lead(b)), the least that keeps it integral.
+    ``r`` is overwritten with the remainder R, ``len(b) - 1`` entries long
+    (trailing zeros included; a shorter ``r`` is its own), and ``(q, s)`` is
+    returned with s*a = q*b + R for the input a.  Each step scales ``r`` and
+    ``q`` in place by |lead(b)| / gcd(top, lead(b)), the least s > 0 that
+    keeps them integral, so s = 1 when b divides a in Z[t].
     """
     lead = b[-1]
     low = b[:-1]
     db = len(low)
     s = 1
-    q = [(0, 1)] * (len(r) - db)
+    q = [0] * (len(r) - db)
     for k in range(len(r) - db - 1, -1, -1):
         top = r[k + db]
         if not top:
             continue
-        g = math.gcd(top, lead)
-        m = lead // g
+        m = abs(lead) // math.gcd(top, lead)
         if m != 1:
             for i in range(k + db):
                 r[i] *= m
+            for i in range(k + 1, len(q)):
+                q[i] *= m
             s *= m
-        c = top // g
-        q[k] = (c, s)
+            top *= m
+        q[k] = c = top // lead
         for j, y in enumerate(low, k):
             r[j] -= c * y
     del r[db:]
@@ -341,31 +328,21 @@ def poly_mul(a: tuple, b: tuple, p: int) -> tuple:
         return tuple([x * c % p for x in a] if p else [x * c for x in a])
     if p:
         return tuple(_strip([c % p for c in _int_mul(a, b)]))
-    (ia, da), (ib, db) = _over_q(a), _over_q(b)
-    d = da * db
-    return tuple(_strip([Fraction(c, d) for c in _int_mul(ia, ib)]))
+    return tuple(_int_mul(a, b))
 
 def poly_divmod(a: tuple, b: tuple, p: int) -> "tuple[tuple, tuple]":
+    """Quotient and remainder over F_p; for p = 0 the pseudo-division of Z[t]."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), a
+    r = list(a)  # becomes the remainder once the quotient is built
     if p:
-        r = list(a)
-        q = _divmod_fp(r, b, p)
-        return tuple(q), tuple(_strip([c % p for c in r]))
-    (r, da), (ib, db) = _over_q(a), _over_q(b)
-    # b = g * ib / db with ib primitive; an exact division then never scales r
-    g = math.gcd(*ib)
-    q, s = _pseudo_divmod(r, [c // g for c in ib])
-    da_g = da * g
-    return (
-        tuple(Fraction(c * db, sk * da_g) for c, sk in q),
-        tuple(Fraction(c, s * da) for c in _strip(r)),
-    )
+        return tuple(_divmod_fp(r, b, p)), tuple(_strip([c % p for c in r]))
+    return tuple(_pseudo_divmod(r, b)[0]), tuple(_strip(r))
 
 def poly_gcd(a: tuple, b: tuple, p: int) -> tuple:
-    """Monic gcd: Euclid over F_p, primitive PRS over Z for Q coefficients."""
+    """Euclid over F_p (monic gcd); primitive PRS in Z[t] for p = 0 (primitive gcd, lead > 0)."""
     if p:
         a, b = list(a), list(b)
         while b:
@@ -375,22 +352,13 @@ def poly_gcd(a: tuple, b: tuple, p: int) -> tuple:
             return ()
         inv = pow(a[-1], -1, p)
         return tuple(c * inv % p for c in a)
-    a, b = _primitive(_over_q(a)[0]), _primitive(_over_q(b)[0])
+    a, b = _primitive(list(a)), _primitive(list(b))
     while b:
         if len(b) == 1:  # a nonzero constant: the gcd is 1
-            a = b
-            break
+            return (1,)
         _pseudo_divmod(a, b)
         a, b = b, _primitive(_strip(a))
-    if not a:
-        return ()
-    return tuple(Fraction(c, a[-1]) for c in a)
-
-def _poly_exact_div(a: tuple, b: tuple, p: int) -> tuple:
-    q, r = poly_divmod(a, b, p)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
+    return tuple(a) if not a or a[-1] > 0 else tuple(-c for c in a)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +369,13 @@ class _Backend:
     """Shared by both backends; ``p`` is the characteristic of k (0 for Q).
 
     ``order`` is the exact power of the uniformizer in a nonzero ring
-    element and ``reduce`` the ring map onto k.  ``gcd`` is positive or
-    monic, ``div`` exact, and ``normalize`` makes a denominator so.
+    element and ``reduce`` the ring map onto k.  ``gcd`` is positive,
+    monic, or primitive with a positive lead (Z[t]), ``div`` exact in the
+    ring, and ``normalize`` makes a pair canonical once it is coprime.
+    ``public`` gives an element's ``num``/``den`` from its stored pair.
     ``clear_denominators(row)`` gives the numerators of L * row and L, as a
-    field element, for L the lcm of the denominators; ``cross_quotient(a, b,
+    field element, for L a common multiple of the denominators in the ring
+    (their lcm but for the content over Z[t]); ``cross_quotient(a, b,
     c, d, e)`` is the exact (a*b - c*d) / e of one fraction-free (Bareiss)
     entry update.
     """
@@ -414,12 +385,14 @@ class _Backend:
 
     def valuation(self, x: "FieldElement") -> int:
         """v(x) for nonzero x."""
-        return self.order(x.num) - self.order(x.den)
+        return self.order(x._n) - self.order(x._d)
 
     def residue(self, x: "FieldElement") -> Coeff:
         """The image of x in k; needs v(x) >= 0, so the denominator reduces to a unit."""
         p = self.p
-        return _cmul(self.reduce(x.num), _cinv(self.reduce(x.den), p), p)
+        return _cmul(self.reduce(x._n), _cinv(self.reduce(x._d), p), p)
+
+    public = staticmethod(lambda num, den: (num, den))
 
     def shift(self, num, den, n: int) -> tuple:
         """pi^n * num/den in lowest terms, for a nonzero num/den in lowest terms."""
@@ -433,10 +406,11 @@ class _Backend:
         one, gcd, div, mul = self.one, self.gcd, self.div, self.mul
         scale = one
         for a in row:
-            if a.den != one and a.den != scale:
-                scale = mul(scale, div(a.den, gcd(scale, a.den)))
-        nums = [a.num if a.den == scale else mul(a.num, div(scale, a.den)) for a in row]
-        # an lcm of positive or monic denominators is canonical over the ring's 1
+            if a._d != one and a._d != scale:
+                scale = mul(scale, div(a._d, gcd(scale, a._d)))
+        nums = [a._n if a._d == scale else mul(a._n, div(scale, a._d)) for a in row]
+        # a common multiple of positive, monic or positive-lead denominators,
+        # built by exact divisions, is canonical over the ring's 1
         return nums, FieldElement._trusted(row[0].spec, scale, one)
 
     def cross_quotient(self, a, b, c, d, e):
@@ -532,11 +506,10 @@ class _Integers(_Backend):
 
 
 class _Polynomials(_Backend):
-    """tadic:p -- coprime coefficient tuples with a monic denominator."""
+    """tadic:p -- coprime coefficient tuples; over F_p the denominator is
+    monic, over Z[t] its lead is positive and the joint content 1."""
 
-    def __init__(self, p: int) -> None:
-        super().__init__(p)
-        self.one = (_cof(1, p),)
+    one = (1,)
 
     def canonical(self, num, den) -> "tuple[tuple, tuple]":
         if type(num) is not tuple or type(den) is not tuple:
@@ -545,8 +518,12 @@ class _Polynomials(_Backend):
                     f"tadic numerator and denominator must be coefficient tuples, got {num!r}, {den!r}"
                 )
         p = self.p
-        num = poly(num, p)
-        den = poly(den, p)
+        if p:
+            num, den = poly(num, p), poly(den, p)
+        else:  # ints stay; Fractions are cleared over the lcm m of all denominators
+            num, den = ([c if type(c) is int else _cof(c, 0) for c in cs] for cs in (num, den))
+            m = math.lcm(*[c.denominator for c in num + den])
+            num, den = (tuple(_strip([c.numerator * (m // c.denominator) for c in cs])) for cs in (num, den))
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
         if not num:
@@ -557,12 +534,25 @@ class _Polynomials(_Backend):
         return self.normalize(num, den)
 
     def normalize(self, num: tuple, den: tuple) -> "tuple[tuple, tuple]":
+        p = self.p
+        if not p:  # divide out the joint content, signed so that lead(den) > 0
+            g = math.gcd(*num, *den)
+            g = g if den[-1] > 0 else -g
+            if g == 1:
+                return num, den
+            return tuple([c // g for c in num]), tuple([c // g for c in den])
         lc = den[-1]
         if lc == 1:
             return num, den
-        p = self.p
         inv = _cinv(lc, p)
         return tuple(_cmul(c, inv, p) for c in num), tuple(_cmul(c, inv, p) for c in den)
+
+    def public(self, num: tuple, den: tuple) -> "tuple[tuple, tuple]":
+        if self.p:
+            return num, den
+        lc = den[-1]
+        over = {c: Fraction(c, lc) for c in {*num, *den}}  # one Fraction per distinct int
+        return tuple(map(over.__getitem__, num)), tuple(map(over.__getitem__, den))
 
     def gcd(self, a: tuple, b: tuple) -> tuple:
         # a nonzero constant is a unit of k[t]
@@ -576,7 +566,10 @@ class _Polynomials(_Backend):
         return poly_gcd(a, b, self.p)
 
     def div(self, a: tuple, b: tuple) -> tuple:
-        return _poly_exact_div(a, b, self.p)
+        q, r = poly_divmod(a, b, self.p)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        return q
 
     def add(self, a: tuple, b: tuple) -> tuple:
         return poly_add(a, b, self.p)
@@ -595,7 +588,10 @@ class _Polynomials(_Backend):
         return poly_neg(a, self.p)
 
     def from_int(self, n: int) -> tuple:
-        return poly([n], self.p)
+        if type(n) is not int:
+            raise DomainError(f"integer must be an int, got {n!r}")
+        n = n % self.p if self.p else n
+        return (n,) if n else ()
 
     @staticmethod
     def order(a: tuple) -> int:
@@ -605,13 +601,13 @@ class _Polynomials(_Backend):
         raise DomainError("t-order of the zero polynomial")
 
     def _up(self, a: tuple, e: int) -> tuple:
-        return (_cof(0, self.p),) * e + a
+        return (0,) * e + a
 
     def _down(self, a: tuple, e: int) -> tuple:
         return a[e:]
 
-    def reduce(self, a: tuple) -> Coeff:
-        return a[0] if a else _cof(0, self.p)
+    def reduce(self, a: tuple) -> int:
+        return a[0] if a else 0
 
     def parse(self, s: str, text: str) -> "tuple[tuple, tuple]":
         num_s, den_s = _split_ratfunc(s)
@@ -624,6 +620,7 @@ class _Polynomials(_Backend):
         return num, den
 
     def format(self, num: tuple, den: tuple) -> str:
+        num, den = self.public(num, den)
         num_s = format_poly(num, "t")
         if den == self.one:
             return num_s
@@ -633,17 +630,11 @@ class _Polynomials(_Backend):
         # nonzero constant and leading terms: t-order 0 and nothing to strip
         p, below = self.p, rng._randbelow
         deg = below(4)
-        if p:
-            cs = [below(p) for _ in range(deg + 1)]
-            cs[0] = 1 + below(p - 1)
-            if deg and cs[-1] == 0:
-                cs[-1] = 1 + below(p - 1)
-            return tuple(cs)
-        cs = [below(11) - 5 for _ in range(deg + 1)]
-        cs[0] = (1, 2, 3, -1, -2, 5)[below(6)]
+        cs = [below(p) if p else below(11) - 5 for _ in range(deg + 1)]
+        cs[0] = 1 + below(p - 1) if p else (1, 2, 3, -1, -2, 5)[below(6)]
         if deg and cs[-1] == 0:
-            cs[-1] = (1, -1, 2)[below(3)]
-        return tuple(map(Fraction, cs))  # Q coefficients are Fractions
+            cs[-1] = 1 + below(p - 1) if p else (1, -1, 2)[below(3)]
+        return tuple(cs)
 
     def random_unit(self, rng) -> "tuple[tuple, tuple]":
         num, den = self._random_unit_poly(rng), self._random_unit_poly(rng)
@@ -659,49 +650,54 @@ class _Polynomials(_Backend):
 class FieldElement(_Frozen):
     """An element of the field selected by ``spec``, always canonical.
 
-    padic: ``num``/``den`` are coprime integers with ``den > 0``.
-    tadic: ``num``/``den`` are coprime coefficient tuples, ``den`` monic.
-    The constructor canonicalizes whatever it is given and arithmetic builds
-    canonical results (see the module docstring), so two equal elements
-    always have identical representations.  The last slot is None until
-    ``ValuationSpec.valuation`` computes v(x) and keeps it there; it takes
-    no part in equality, hash or repr, and nothing else reads or fills it.
+    ``_n``/``_d`` hold the backend's canonical pair (see the module
+    docstring), so two equal elements have identical representations; the
+    public ``num``/``den`` are that pair, or over Q[t] its ``Fraction``
+    tuples with a monic ``den``.  The constructor canonicalizes whatever it
+    is given and arithmetic builds canonical results.  The last slot is None
+    until ``ValuationSpec.valuation`` computes v(x) and keeps it there; it
+    takes no part in equality, hash or repr, and nothing else reads or
+    fills it.
     """
 
-    __slots__ = ("spec", "num", "den", "_v")
+    __slots__ = ("spec", "_n", "_d", "_v")
 
     def __init__(self, spec: FieldSpec, num, den) -> None:
         _set(self, "spec", spec)
-        _set(self, "num", num)
-        _set(self, "den", den)
+        _set(self, "_n", num)
+        _set(self, "_d", den)
         _set(self, "_v", None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        num, den = self.spec.backend.canonical(self.num, self.den)
-        _set(self, "num", num)
-        _set(self, "den", den)
+        num, den = self.spec.backend.canonical(self._n, self._d)
+        _set(self, "_n", num)
+        _set(self, "_d", den)
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, num, den) -> "FieldElement":
         """An element from a pair that is already canonical; nothing is checked."""
         x = _new(cls)
         _set(x, "spec", spec)
-        _set(x, "num", num)
-        _set(x, "den", den)
+        _set(x, "_n", num)
+        _set(x, "_d", den)
         _set(x, "_v", None)
         return x
 
+    num = property(lambda self: self.spec.backend.public(self._n, self._d)[0])
+    den = property(lambda self: self.spec.backend.public(self._n, self._d)[1])
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.spec, self.num, self.den) == (other.spec, other.num, other.den)
+            return (self.spec, self._n, self._d) == (other.spec, other._n, other._d)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.num, self.den))
+        return hash((self.spec, self._n, self._d))
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(spec={self.spec!r}, num={self.num!r}, den={self.den!r})"
+        num, den = self.spec.backend.public(self._n, self._d)
+        return f"{type(self).__qualname__}(spec={self.spec!r}, num={num!r}, den={den!r})"
 
     # -- constructors -------------------------------------------------
 
@@ -721,10 +717,10 @@ class FieldElement(_Frozen):
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._n)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -737,7 +733,7 @@ class FieldElement(_Frozen):
         self._check(other)
         ring = self.spec.backend
         mul, div = ring.mul, ring.div
-        a, b, c, d = self.num, self.den, other.num, other.den
+        a, b, c, d = self._n, self._d, other._n, other._d
         g = ring.gcd(b, d)
         if g == ring.one:
             num, den = combine(mul(a, d), mul(c, b)), mul(b, d)
@@ -748,13 +744,14 @@ class FieldElement(_Frozen):
             if g != ring.one:
                 num, d = div(num, g), div(d, g)
             den = mul(s, d)
+        num, den = ring.normalize(num, den)
         return FieldElement._trusted(self.spec, num, den)
 
     def _product(self, c, d) -> "FieldElement":
         # a/b * c/d, both nonzero and coprime: only a, d and c, b can share factors
         ring = self.spec.backend
         one, gcd, div, mul = ring.one, ring.gcd, ring.div, ring.mul
-        a, b = self.num, self.den
+        a, b = self._n, self._d
         g = gcd(a, d)
         if g != one:
             a, d = div(a, g), div(d, g)
@@ -778,27 +775,27 @@ class FieldElement(_Frozen):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        if not self.num or not other.num:
-            return other if self.num else self
-        return self._product(other.num, other.den)
+        if not self._n or not other._n:
+            return other if self._n else self
+        return self._product(other._n, other._d)
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        if other.is_zero:
+        if not other._n:
             raise ZeroDivisionError("division by zero element")
-        if not self.num:
+        if not self._n:
             return self
-        return self._product(other.den, other.num)
+        return self._product(other._d, other._n)
 
     def __neg__(self):
-        return FieldElement._trusted(self.spec, self.spec.backend.neg(self.num), self.den)
+        return FieldElement._trusted(self.spec, self.spec.backend.neg(self._n), self._d)
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
+        if not self._n:
             raise ZeroDivisionError("inverse of zero element")
-        num, den = self.spec.backend.normalize(self.den, self.num)
+        num, den = self.spec.backend.normalize(self._d, self._n)
         return FieldElement._trusted(self.spec, num, den)
 
     def shift(self, n: int) -> "FieldElement":
@@ -807,9 +804,9 @@ class FieldElement(_Frozen):
             raise DomainError(f"uniformizer exponent must be an integer, got {n!r}")
         if abs(n) > MAX_EXPONENT:
             raise DomainError(f"uniformizer exponent {n} exceeds the bound {MAX_EXPONENT}")
-        if not n or not self.num:
+        if not n or not self._n:
             return self
-        num, den = self.spec.backend.shift(self.num, self.den, n)
+        num, den = self.spec.backend.shift(self._n, self._d, n)
         return FieldElement._trusted(self.spec, num, den)
 
     def __pow__(self, n: int) -> "FieldElement":
@@ -1057,4 +1054,4 @@ def format_poly(coeffs: tuple, var: str, ascending: bool = False, spaced: bool =
 
 def format_element(a: FieldElement) -> str:
     """Render an element in the grammar; round-trips through parse_element."""
-    return a.spec.backend.format(a.num, a.den)
+    return a.spec.backend.format(a._n, a._d)

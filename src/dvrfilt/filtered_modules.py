@@ -204,9 +204,7 @@ def snf(spec: ValuationSpec, matrix: Sequence[Sequence[FieldElement]]) -> SnfRes
     normalized to an exact power of the uniformizer, then its row and
     column are divided out; this is deterministic.
     """
-    rows = tuple(tuple(r) for r in matrix)
-    if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
-        raise DomainError("matrix must be rectangular and nonempty")
+    rows = _rectangular(matrix)
     m, n = len(rows), len(rows[0])
     for r in rows:
         for a in r:
@@ -325,7 +323,15 @@ def map_injective(f: FilteredMap) -> bool:
     return _fraction_free(f.spec, f.matrix)[0] == f.source.rank
 
 
+def _rectangular(matrix: Sequence) -> tuple:
+    rows = tuple(tuple(r) for r in matrix)
+    if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+        raise DomainError("matrix must be rectangular and nonempty")
+    return rows
+
+
 def mat_mul(spec: ValuationSpec, a: Sequence, b: Sequence) -> tuple:
+    a, b = _rectangular(a), _rectangular(b)
     if len(a[0]) != len(b):
         raise DomainError("matrix dimensions do not match")
     zero = FieldElement.zero(spec.field)
@@ -342,14 +348,17 @@ def mat_mul(spec: ValuationSpec, a: Sequence, b: Sequence) -> tuple:
 
 
 def det(spec: ValuationSpec, matrix: Sequence) -> FieldElement:
-    """Exact determinant by one fraction-free elimination; no SNF is computed."""
+    """Exact determinant by one fraction-free elimination; no SNF is computed.
+
+    The determinant of the 0 x 0 matrix is 1, the empty product.
+    """
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise DomainError("determinant needs a square matrix")
     rank, pivot, scale = _fraction_free(spec, matrix)
     if rank < n:
         return FieldElement.zero(spec.field)
-    return FieldElement(spec.field, pivot, scale.num)
+    return FieldElement(spec.field, pivot, scale._n)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ def check_filtration_axioms(
     closure under multiplication by R (the ideal property).  Per level pair
     (n, m): products of members of R_n and R_m land in R_{n+m}.
     """
+    sampling._require_ints(max_level=max_level)
     if max_level < 1:
         raise DomainError("max_level must be >= 1")
     rng = sampling._seeded(seed, samples)

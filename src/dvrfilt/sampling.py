@@ -16,11 +16,16 @@ import random
 from .elements import MAX_EXPONENT, DomainError, FieldElement, FieldSpec
 
 
-def _seeded(seed: int, samples: int) -> random.Random:
-    """The generator of a sampled check, once its seed and sample count are plain ints."""
-    for name, value in (("seed", seed), ("samples", samples)):
+def _require_ints(**values) -> None:
+    """Reject every value that is not a plain int (bool and other subclasses included)."""
+    for name, value in values.items():
         if type(value) is not int:
             raise DomainError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _seeded(seed: int, samples: int) -> random.Random:
+    """The generator of a sampled check, once its seed and sample count are plain ints."""
+    _require_ints(seed=seed, samples=samples)
     if samples < 1:
         raise DomainError("samples must be >= 1")
     return random.Random(seed)
@@ -43,6 +48,8 @@ def _pi_power_times_unit(field: FieldSpec, rng: random.Random, k: int) -> FieldE
 def random_nonzero_element(
     field: FieldSpec, rng: random.Random, kmin: int = -6, kmax: int = 6
 ) -> FieldElement:
+    if type(kmin) is not int or type(kmax) is not int:
+        _require_ints(kmin=kmin, kmax=kmax)
     width = kmax - kmin + 1
     if width <= 0:  # randint's error, in CPython 3.10-3.11's words
         raise ValueError("empty range for randrange() (%d, %d, %d)" % (kmin, kmax + 1, width))
@@ -54,6 +61,8 @@ def random_nonzero_element(
 
 def random_element(field: FieldSpec, rng: random.Random, kmin: int = -6, kmax: int = 6) -> FieldElement:
     """Like :func:`random_nonzero_element` but zero with probability 1/12."""
+    if type(kmin) is not int or type(kmax) is not int:  # before the draw that may give zero
+        _require_ints(kmin=kmin, kmax=kmax)
     if rng._randbelow(12) == 0:
         return FieldElement.zero(field)
     return random_nonzero_element(field, rng, kmin, kmax)

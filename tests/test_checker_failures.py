@@ -6,9 +6,11 @@ pin the whole report: pass counts, totals, and the first counterexample
 or witness of each law.
 """
 
+import random
+
 import pytest
 
-from dvrfilt import DomainError, filtration, spectrum
+from dvrfilt import DomainError, FieldSpec, filtration, sampling, spectrum
 from dvrfilt.spectrum import FiltFn
 from dvrfilt.valuation import ExtInt, ValuationSpec, check_valuation_axioms
 
@@ -237,3 +239,31 @@ def test_the_guard_runs_once_per_call(name, monkeypatch):
     monkeypatch.setattr(sampling, "_seeded", lambda seed, n: calls.append(n) or guard(seed, n))
     ENTRY_POINTS[name](3, 4)
     assert calls == [4]
+
+
+# -- the level bound and sampler windows: plain ints only, rejected with the
+# -- same message before any draw
+
+@pytest.mark.parametrize("bad", [None, True, 1.5, "1"], ids=repr)
+def test_max_level_must_be_a_plain_int(bad, monkeypatch):
+    monkeypatch.setattr(sampling, "random_ring_element", None)  # no draw happens
+    monkeypatch.setattr(sampling, "random_level_element", None)
+    with pytest.raises(DomainError, match=rf"^max_level must be an int, not {type(bad).__name__}$"):
+        filtration.check_filtration_axioms(S2, 1, 2, bad)
+
+
+@pytest.mark.parametrize("sampler", ["random_nonzero_element", "random_element"])
+@pytest.mark.parametrize("field", ["padic:2", "tadic:3", "tadic:0"])
+@pytest.mark.parametrize(
+    "window", [(1.5, 3), (0, 2.0), (True, False), (0, True), ("1", 3), (None, None)], ids=repr
+)
+def test_sampler_windows_must_be_plain_ints(sampler, field, window):
+    spec = FieldSpec.from_string(field)
+    name, bad = ("kmin", window[0]) if type(window[0]) is not int else ("kmax", window[1])
+    # twelve seeds: random_element's zero draw (1 in 12) must not skip the check
+    for seed in range(12):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        with pytest.raises(DomainError, match=rf"^{name} must be an int, not {type(bad).__name__}$"):
+            getattr(sampling, sampler)(spec, rng, *window)
+        assert rng.getstate() == state

@@ -235,6 +235,22 @@ def test_snf_rejects_fractional_entries():
         snf(S2, ((parse_element("1/2", S2.field),),))
 
 
+@pytest.mark.parametrize("spec", [S2, ST3, ST0], ids=lambda s: str(s.field))
+def test_mat_mul_rejects_empty_or_ragged_operands(spec):
+    one = FieldElement.one(spec.field)
+    for a, b in (([], []), ([[]], [[]]), ([[one]], []), ([], [[one]]), ([[one], [one, one]], [[one]])):
+        with pytest.raises(DomainError, match="^matrix must be rectangular and nonempty$"):
+            mat_mul(spec, a, b)
+        with pytest.raises(DomainError, match="^matrix must be rectangular and nonempty$"):
+            mat_mul(spec, b, a)
+    assert mat_mul(spec, [[one, one]], [[one], [one]]) == ((one + one,),)
+
+
+@pytest.mark.parametrize("spec", [S2, ST3, ST0], ids=lambda s: str(s.field))
+def test_det_of_the_empty_matrix_is_the_empty_product(spec):
+    assert det(spec, []) == det(spec, ()) == FieldElement.one(spec.field)
+
+
 # tadic:0 entries swell fastest, so it runs on fewer and smaller matrices
 RANDOM_MATRIX_CASES = [
     pytest.param(S2, 200, 4, 5, id="padic:2"),

@@ -8,11 +8,19 @@ reduced to a gcd by dvrfilt (``poly_mul``, ``poly_divmod`` and
 ``poly_gcd`` on coefficient tuples, and ``GradedElement`` arithmetic) and
 by sympy, on each field of the suite.
 
+For p = 0 the kernels work in Z[t]: the drawn Q[t] polynomials are
+cleared of denominators first, the gcd is compared after making it monic
+(it is primitive with a positive lead), and the pseudo-division's q and r
+after dividing by its scale s (s * a = q * b + r, s = 1 when the division
+is exact).
+
 Tuple equality hides a coefficient of the wrong type (a bare int equals
-the Fraction of the same value), so the kernels' coefficient types are
-asserted on their own: ints in [0, p) over F_p, Fractions over Q.
+the Fraction of the same value), so the coefficient types are asserted on
+their own: the kernels' ints in [0, p) over F_p and ints over Z[t], and
+the Fractions of a tadic:0 element's public num/den.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -47,11 +55,35 @@ def _random_coeffs(rng, char):
     return poly([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)], char)
 
 
-def _assert_coeff_types(cs, char):
+def _kernel_form(cs, char):
+    # a kernel operand: over Z[t] for p = 0, times the lcm of its denominators
+    if char:
+        return cs
+    m = math.lcm(*[c.denominator for c in cs])
+    return tuple(int(c * m) for c in cs)
+
+
+def _monic_gcd(g, char):
+    if char or not g:
+        return g
+    assert math.gcd(*g) == 1 and g[-1] > 0, g
+    return tuple(Fraction(c, g[-1]) for c in g)
+
+
+def _division_scale(q, Q, char):
+    # the s of s * a = q * b + r; 1 over F_p and when the quotient is zero
+    if char or not q:
+        return 1
+    s = Rational(q[-1]) / Q.LC()
+    assert s.is_integer and s > 0, s
+    return s
+
+
+def _assert_coeff_types(cs, char, q_type=int):
     if char:
         assert all(type(c) is int and 0 <= c < char for c in cs), cs
     else:
-        assert all(type(c) is Fraction for c in cs), cs
+        assert all(type(c) is q_type for c in cs), cs
 
 
 @pytest.mark.parametrize("field_str", FIELD_STRINGS)
@@ -59,7 +91,7 @@ def test_poly_mul_and_gcd_match_sympy(field_str):
     char = ValuationSpec.from_string(field_str).residue_char
     rng = random.Random(f"sympy-poly:{field_str}")
     for _ in range(100):
-        a, b, c = (_random_coeffs(rng, char) for _ in range(3))
+        a, b, c = (_kernel_form(_random_coeffs(rng, char), char) for _ in range(3))
         # a shared factor c makes most gcds nontrivial
         ac, bc = poly_mul(a, c, char), poly_mul(b, c, char)
         A, B, C = (_sympy_poly(x, char) for x in (a, b, c))
@@ -67,7 +99,7 @@ def test_poly_mul_and_gcd_match_sympy(field_str):
         abc = poly_mul(ac, bc, char)
         assert _sympy_poly(abc, char) == A * C * B * C
         g = poly_gcd(ac, bc, char)
-        assert _sympy_poly(g, char) == (A * C).gcd(B * C)
+        assert _sympy_poly(_monic_gcd(g, char), char) == (A * C).gcd(B * C)
         for cs in (ac, abc, g):
             _assert_coeff_types(cs, char)
 
@@ -77,18 +109,19 @@ def test_poly_divmod_matches_sympy(field_str):
     char = ValuationSpec.from_string(field_str).residue_char
     rng = random.Random(f"sympy-divmod:{field_str}")
     for i in range(100):
-        a = _random_coeffs(rng, char)
+        a = _kernel_form(_random_coeffs(rng, char), char)
         b = ()
         while not b:
-            b = _random_coeffs(rng, char)
+            b = _kernel_form(_random_coeffs(rng, char), char)
         if i % 3 == 0:
             a = poly_mul(a, b, char)  # zero remainder
         q, r = poly_divmod(a, b, char)
         Q, R = _sympy_poly(a, char).div(_sympy_poly(b, char))
-        assert _sympy_poly(q, char) == Q
-        assert _sympy_poly(r, char) == R
+        s = _division_scale(q, Q, char)
+        assert _sympy_poly(q, char) == Q * s
+        assert _sympy_poly(r, char) == R * s
         if i % 3 == 0:
-            assert r == ()
+            assert r == () and s == 1
         assert len(r) < len(b)
         for cs in (q, r):
             _assert_coeff_types(cs, char)
@@ -101,8 +134,8 @@ def test_field_element_arithmetic_keeps_coefficient_types(field_str):
     for _ in range(100):
         x, y = random_nonzero_element(field, rng), random_nonzero_element(field, rng)
         for z in (x + y, x - y, x * y, x / y, x - x):
-            _assert_coeff_types(z.num, field.param)
-            _assert_coeff_types(z.den, field.param)
+            _assert_coeff_types(z.num, field.param, Fraction)
+            _assert_coeff_types(z.den, field.param, Fraction)
 
 
 @pytest.mark.parametrize("field_str", FIELD_STRINGS)
